@@ -328,10 +328,11 @@ pub struct PipelineStats {
     pub checkpoint_failures: u64,
     /// Transient storage write failures recovered by retry.
     pub storage_retries: u64,
-    /// Persisted files rejected on reopen (truncated, bit-flipped,
-    /// misnamed, foreign job fingerprint).
+    /// Special-line frames rejected by the reopen scan (damaged, torn
+    /// tail, foreign job fingerprint); see [`crate::sra::StoreStats`].
     pub storage_rejected_files: u64,
-    /// Orphaned/stale files swept from the storage directory.
+    /// Stale logs and compaction tmp files swept from the storage
+    /// directory, plus lines a reopen dropped for budget.
     pub storage_swept_files: u64,
     /// Worker-pool lanes available to this run (including the caller).
     pub pool_lanes: usize,
@@ -557,8 +558,8 @@ impl Pipeline {
                 .map_err(|e| PipelineError::Io(e.to_string()))?
         };
         if cfg.checkpoint.is_some() {
-            // An interrupted run must leave the row files on disk for the
-            // resumed run to reopen; Drop would otherwise delete them on
+            // An interrupted run must leave the row log on disk for the
+            // resumed run to reopen; Drop would otherwise delete it on
             // the error path. Completed runs clean up explicitly below.
             rows.persist_on_drop(true);
         }
@@ -722,7 +723,7 @@ impl Pipeline {
         let t = obs.now();
         obs.metrics.set("binary.bytes", s5r.binary.encode().len() as u64);
         record_store_stats(&mut obs.metrics, rows.stats(), cols.stats());
-        // Success: nothing left to resume, so the persisted row files can
+        // Success: nothing left to resume, so the persisted row log can
         // go regardless of persist_on_drop.
         rows.clear();
         record_pool_delta(&mut obs.metrics, &pool_before, &pool.stats());
@@ -1320,7 +1321,7 @@ mod checkpoint_tests {
         cfg.checkpoint = Some(CheckpointPolicy { dir: dir.clone(), every_diagonals: 9 });
 
         // "Crashed" run: the observer writes combined snapshots itself;
-        // the last one survives as stage1.ckpt alongside the row files.
+        // the last one survives as stage1.ckpt alongside the row log.
         {
             let fp = cfg.job_fingerprint(a.len(), b.len());
             let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "special-row", fp).unwrap();

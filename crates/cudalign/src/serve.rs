@@ -15,13 +15,11 @@
 //!   a batch that would push the queue past `queue_cap` is rejected with
 //!   the typed [`ServeError::QueueFull`] — explicit backpressure, never
 //!   unbounded buffering.
-//! - **Length-sorted packing.** Runners drain by priority first, then
-//!   *shortest job first* within a priority class. Submitting a batch
-//!   therefore executes it length-sorted, which keeps the striped
-//!   i8/i16 kernels' lanes full (the inter-task batching trick of the
-//!   SSW library and AnySeq/GPU): similar-length jobs run back-to-back,
-//!   and each job's bands fit the per-engine [`gpu_sim::ProfileCache`]
-//!   (keyed by `(scoring, band)`, so interleaved tenants don't thrash).
+//! - **Shortest-first order.** Runners drain by priority first, then
+//!   *shortest job first* within a priority class, so a submitted batch
+//!   executes length-sorted and short jobs do not wait behind long ones.
+//!   This orders jobs; it does not pack them: each job runs its own
+//!   pipeline alone, with no inter-task batching of striped lanes.
 //! - **Per-job supervision.** Every [`JobRequest`] carries its own
 //!   [`RunControl`] (cancel / deadline / stall watchdog — the PR 7
 //!   supervision layer verbatim); cancelling one job never perturbs
@@ -488,9 +486,8 @@ impl Server {
     /// Admit a batch of jobs, all-or-nothing: if the whole batch does
     /// not fit under `queue_cap`, *nothing* is admitted and the typed
     /// [`ServeError::QueueFull`] asks the caller to back off. Admitted
-    /// jobs drain by (priority, shortest-first) — submitting a batch
-    /// executes it length-sorted so the striped kernels' lanes stay
-    /// full across many small jobs.
+    /// jobs drain by (priority, shortest-first), so a submitted batch
+    /// executes length-sorted.
     pub fn submit_batch(&self, reqs: Vec<JobRequest>) -> Result<Vec<JobHandle>, ServeError> {
         if reqs.is_empty() {
             return Ok(Vec::new());

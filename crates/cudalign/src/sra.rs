@@ -11,16 +11,17 @@
 //! blocks of an external diagonal and becomes whole only after several
 //! diagonals); a line becomes readable once every cell has arrived.
 //!
-//! Disk persistence goes through [`crate::storage`]: every line file is a
-//! checksummed frame carrying the job fingerprint, written atomically.
-//! Failures *degrade* instead of panicking — an unwritable line is
-//! dropped (the pipeline tolerates fewer special lines; partitions just
-//! grow) and a corrupt or stale line surfaces as a typed
-//! [`StorageError`] for the caller to drop and count. [`StoreStats`]
-//! records every such event for [`crate::PipelineStats`].
+//! Disk persistence goes through [`crate::storage`]: a disk store appends
+//! each completed line as a checksummed frame carrying the job
+//! fingerprint to its one [`FrameLog`] (`<dir>/<prefix>.log`) and keeps
+//! `index -> (origin, len, offset)` in memory. Failures *degrade* instead
+//! of panicking — an unwritable line is dropped (the pipeline tolerates
+//! fewer special lines; partitions just grow) and a corrupt or stale line
+//! surfaces as a typed [`StorageError`] for the caller to drop and count.
+//! [`StoreStats`] records every such event for [`crate::PipelineStats`].
 
 use crate::config::SraBackend;
-use crate::storage::{self, FrameMeta, StorageError};
+use crate::storage::{self, FrameLog, StorageError};
 use gpu_sim::{CellHE, CellHF};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -105,11 +106,14 @@ pub struct StoreStats {
     pub dropped_lines: u64,
     /// Transient write failures that a retry recovered.
     pub write_retries: u64,
-    /// Files rejected during [`LineStore::reopen`] (truncated,
-    /// bit-flipped, misnamed, or carrying a foreign job fingerprint).
+    /// Frames rejected by the scan of [`LineStore::reopen`]: damaged
+    /// ones (bad magic, length past the end of the log, CRC mismatch;
+    /// a torn tail counts once) and intact ones carrying a foreign job
+    /// fingerprint.
     pub rejected_files: u64,
-    /// Orphaned files swept by [`LineStore::new`] (left behind by a
-    /// crashed prior run) plus stale tmp siblings removed on reopen.
+    /// Logs swept by [`LineStore::new`] (left behind by a crashed prior
+    /// run) and stale compaction tmp files, plus lines a reopen dropped
+    /// because they no longer fit the budget.
     pub swept_files: u64,
 }
 
@@ -127,7 +131,8 @@ impl StoreStats {
 
 enum Stored<T> {
     Memory(Vec<T>),
-    Disk(PathBuf),
+    /// Offset of the line's frame in the store's log.
+    Disk(u64),
 }
 
 struct Line<T> {
@@ -147,6 +152,10 @@ pub struct LineStore<T: BusCell> {
     budget: u64,
     used: u64,
     dir: Option<PathBuf>,
+    /// The disk backend's frame log, created by the first append.
+    log: Option<FrameLog>,
+    /// Log bytes no line refers to: removed lines, rejected frames.
+    dead: u64,
     prefix: &'static str,
     fingerprint: u64,
     persist: bool,
@@ -173,6 +182,8 @@ impl<T: BusCell> LineStore<T> {
             budget,
             used: 0,
             dir,
+            log: None,
+            dead: 0,
             prefix,
             fingerprint,
             persist: false,
@@ -182,31 +193,12 @@ impl<T: BusCell> LineStore<T> {
         })
     }
 
-    /// Files in this store's directory that belong to this store's prefix:
-    /// `<prefix>-<index>-<origin>.bin` plus their `.tmp` staging siblings.
-    fn own_files(&self) -> Result<Vec<(PathBuf, bool /* is_tmp */)>, StorageError> {
-        let Some(dir) = &self.dir else { return Ok(Vec::new()) };
-        let mut out = Vec::new();
-        for path in storage::list_dir(dir)? {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            if !name.starts_with(&format!("{}-", self.prefix)) {
-                continue;
-            }
-            if name.ends_with(".bin") {
-                out.push((path, false));
-            } else if name.ends_with(".bin.tmp") {
-                out.push((path, true));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Create a store with the given budget. `prefix` names disk files
-    /// (`<prefix>-<index>-<origin>.bin`); `fingerprint` identifies the job
-    /// (see [`storage::job_fingerprint`]) and is stamped into every frame.
+    /// Create a store with the given budget. `prefix` names the disk log
+    /// (`<prefix>.log`); `fingerprint` identifies the job (see
+    /// [`storage::job_fingerprint`]) and is stamped into every frame.
     ///
-    /// On a disk backend, orphaned files under this prefix — left behind
-    /// by a crashed prior run — are swept (deleted and counted in
+    /// On a disk backend, a log under this prefix — left behind by a
+    /// crashed prior run — is swept (deleted and counted in
     /// [`StoreStats::swept_files`]): a *fresh* store must never silently
     /// coexist with stale state it would otherwise leak forever.
     pub fn new(
@@ -216,23 +208,21 @@ impl<T: BusCell> LineStore<T> {
         fingerprint: u64,
     ) -> Result<Self, StorageError> {
         let mut store = Self::fresh(backend, budget, prefix, fingerprint)?;
-        for (path, _) in store.own_files()? {
-            if storage::remove_file_quiet(&path) {
-                store.stats.swept_files += 1;
-            }
+        if let Some(dir) = &store.dir {
+            store.stats.swept_files += FrameLog::sweep(dir, prefix);
         }
         Ok(store)
     }
 
-    /// Rebuild a disk-backed store's index from the files a previous run
-    /// left behind (crash-recovery for Stage 1's special rows). Every
-    /// candidate file is fully validated — magic, job fingerprint, header
-    /// vs. file name, payload length, CRC32 — before adoption; files that
-    /// fail any check (truncated, bit-flipped, misnamed, foreign job) are
-    /// deleted and counted in [`StoreStats::rejected_files`], never
-    /// decoded into cells. Stale `.tmp` siblings from an interrupted write
-    /// are swept. Completed lines beyond the budget are dropped (and their
-    /// files deleted), smallest index first.
+    /// Rebuild a disk-backed store's index from the log a previous run
+    /// left behind (crash-recovery for Stage 1's special rows). The log is
+    /// scanned from offset 0 by [`FrameLog::recover`]: every frame is
+    /// validated — magic, length, CRC32, job fingerprint — before
+    /// adoption; frames that fail (torn, bit-flipped, foreign job) are
+    /// counted in [`StoreStats::rejected_files`] and never decoded, and a
+    /// torn tail is truncated. A later frame of a line supersedes an
+    /// earlier one. Lines beyond the budget are dropped, adopting in
+    /// ascending index order. A stale compaction tmp file is swept.
     pub fn reopen(
         backend: &SraBackend,
         budget: u64,
@@ -240,65 +230,36 @@ impl<T: BusCell> LineStore<T> {
         fingerprint: u64,
     ) -> Result<Self, StorageError> {
         let mut store = Self::fresh(backend, budget, prefix, fingerprint)?;
-        let mut found: Vec<(usize, usize, PathBuf)> = Vec::new();
-        for (path, is_tmp) in store.own_files()? {
-            if is_tmp {
-                // An interrupted write: the frame never made it to its
-                // final name, so nothing references it.
-                if storage::remove_file_quiet(&path) {
-                    store.stats.swept_files += 1;
-                }
-                continue;
-            }
-            let named = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_prefix(&format!("{prefix}-")))
-                .and_then(|n| n.strip_suffix(".bin"))
-                .and_then(|rest| {
-                    let (idx, origin) = rest.split_once('-')?;
-                    Some((idx.parse::<usize>().ok()?, origin.parse::<usize>().ok()?))
-                });
-            let Some((idx, origin)) = named else {
-                // Matches the prefix but not the naming scheme: reject.
-                storage::remove_file_quiet(&path);
-                store.stats.rejected_files += 1;
-                continue;
-            };
-            match storage::read_frame(&path, fingerprint) {
-                Ok((meta, _)) if meta.index == idx as u64 && meta.origin == origin as u64 => {
-                    found.push((idx, origin, path));
-                }
-                // Valid frame under the wrong name (copied/renamed by
-                // hand, or cross-linked by a sick filesystem): the name is
-                // what indexing trusts, so treat as corrupt.
-                Ok(_) | Err(_) => {
-                    storage::remove_file_quiet(&path);
-                    store.stats.rejected_files += 1;
-                }
-            }
+        let Some(dir) = store.dir.clone() else { return Ok(store) };
+        // A compaction the crash interrupted: the log it would have
+        // replaced is still whole, so nothing references the copy.
+        let tmp = storage::tmp_sibling(&FrameLog::path_for(&dir, prefix));
+        store.stats.swept_files += u64::from(storage::remove_file_quiet(&tmp));
+        let Some((log, scan)) = FrameLog::recover(&dir, prefix, fingerprint)? else {
+            return Ok(store);
+        };
+        store.stats.rejected_files += scan.rejected;
+        let mut latest: BTreeMap<usize, (usize, usize, u64)> = BTreeMap::new();
+        for (meta, offset) in scan.frames {
+            latest.insert(meta.index as usize, (meta.origin as usize, meta.len as usize, offset));
         }
-        found.sort();
-        for (idx, origin, path) in found {
-            let len_bytes = storage::file_len(&path)
-                .map(|len| len.saturating_sub(storage::FRAME_HEADER_BYTES as u64))
-                .unwrap_or(0);
-            if store.used + len_bytes > budget {
-                if storage::remove_file_quiet(&path) {
-                    store.stats.swept_files += 1;
-                }
+        let mut live = 0u64;
+        for (index, (origin, len, offset)) in latest {
+            let bytes = CELL_BYTES * len as u64;
+            if store.used + bytes > budget {
+                store.stats.swept_files += 1;
                 continue;
             }
-            store.used += len_bytes;
-            store.lines.insert(
-                idx,
-                Line { origin, len: (len_bytes / CELL_BYTES) as usize, data: Stored::Disk(path) },
-            );
+            store.used += bytes;
+            live += storage::frame_bytes(len as u64);
+            store.lines.insert(index, Line { origin, len, data: Stored::Disk(offset) });
         }
+        store.dead = log.end() - live;
+        store.log = Some(log);
         Ok(store)
     }
 
-    /// Keep (or stop keeping) disk files alive past this store's drop.
+    /// Keep (or stop keeping) the disk log alive past this store's drop.
     /// The pipeline sets this when checkpointing is on, so an error
     /// return — or a simulated crash — leaves the special lines on disk
     /// for the resumed run to [`LineStore::reopen`].
@@ -336,12 +297,12 @@ impl<T: BusCell> LineStore<T> {
     /// `at`. Segments for untracked lines are ignored (returns `false`).
     /// Returns `true` when this segment completed the line.
     ///
-    /// On the disk backend a completed line is persisted through
-    /// [`storage::write_frame`] (atomic, retried). If the write still
-    /// fails — disk full, persistent I/O error — the line is *dropped*:
-    /// its budget is refunded, [`StoreStats::dropped_lines`] grows, and
-    /// the store carries on. The pipeline is correct with any subset of
-    /// special lines; a panic here would cost an 18-hour Stage 1.
+    /// On the disk backend a completed line is encoded straight into a
+    /// frame and appended to the log (retried on transient errors). If
+    /// the write still fails — disk full, persistent I/O error — the line
+    /// is *dropped*: its budget is refunded, [`StoreStats::dropped_lines`]
+    /// grows, and the store carries on. The pipeline is correct with any
+    /// subset of special lines; a panic here would cost an 18-hour Stage 1.
     pub fn put_segment(&mut self, index: usize, at: usize, cells: impl Iterator<Item = T>) -> bool {
         let Some(p) = self.partial.get_mut(&index) else {
             return false;
@@ -366,26 +327,30 @@ impl<T: BusCell> LineStore<T> {
         let Some(p) = self.partial.remove(&index) else { return false };
         let origin = p.origin;
         let len = p.cells.len();
-        let data: Vec<T> = p.cells.into_iter().flatten().collect();
-        debug_assert_eq!(data.len(), len, "filled == len guarantees no None cells");
+        if self.dead > self.budget {
+            self.compact();
+        }
         let stored = match &self.dir {
-            None => Stored::Memory(data),
+            None => {
+                let data: Vec<T> = p.cells.into_iter().flatten().collect();
+                debug_assert_eq!(data.len(), len, "filled == len guarantees no None cells");
+                Stored::Memory(data)
+            }
             Some(dir) => {
-                let path = dir.join(format!("{}-{index}-{origin}.bin", self.prefix));
-                let mut buf = Vec::with_capacity(len * CELL_BYTES as usize);
-                for c in &data {
-                    buf.extend_from_slice(&c.encode());
+                let mut frame = storage::frame_buffer(len);
+                for c in p.cells.iter().flatten() {
+                    frame.extend_from_slice(&c.encode());
                 }
-                let meta = FrameMeta {
-                    fingerprint: self.fingerprint,
-                    index: index as u64,
-                    origin: origin as u64,
-                    len: len as u64,
+                let appended = match &mut self.log {
+                    Some(log) => log.append(index as u64, origin as u64, &mut frame),
+                    slot => FrameLog::create(dir, self.prefix, self.fingerprint).and_then(|log| {
+                        slot.insert(log).append(index as u64, origin as u64, &mut frame)
+                    }),
                 };
-                match storage::write_frame(&path, &meta, &buf) {
-                    Ok(retries) => {
+                match appended {
+                    Ok((offset, retries)) => {
                         self.stats.write_retries += retries as u64;
-                        Stored::Disk(path)
+                        Stored::Disk(offset)
                     }
                     Err(_) => {
                         // Degrade: drop this line, refund its budget.
@@ -398,6 +363,36 @@ impl<T: BusCell> LineStore<T> {
         };
         self.lines.insert(index, Line { origin, len, data: stored });
         true
+    }
+
+    /// Copy the live frames into a fresh log so dead bytes stop growing:
+    /// with compaction at `dead > budget`, the log stays within about
+    /// twice the budget.
+    fn compact(&mut self) {
+        let Some(log) = &mut self.log else { return };
+        let mut live: Vec<(u64, u64, usize)> = self
+            .lines
+            .iter()
+            .filter_map(|(&index, line)| match line.data {
+                Stored::Disk(offset) => {
+                    Some((offset, storage::frame_bytes(line.len as u64), index))
+                }
+                Stored::Memory(_) => None,
+            })
+            .collect();
+        live.sort_unstable();
+        let spans: Vec<(u64, u64)> =
+            live.iter().map(|&(offset, bytes, _)| (offset, bytes)).collect();
+        if let Ok(moved) = log.compact(&spans) {
+            for (&(_, _, index), offset) in live.iter().zip(moved) {
+                if let Some(line) = self.lines.get_mut(&index) {
+                    line.data = Stored::Disk(offset);
+                }
+            }
+        }
+        // On failure the old log stays in use; the next attempt waits for
+        // another budget's worth of dead bytes instead of every append.
+        self.dead = 0;
     }
 
     /// Completed line indices, ascending.
@@ -419,25 +414,27 @@ impl<T: BusCell> LineStore<T> {
     }
 
     /// Read a completed line: `Ok(Some((origin, cells)))`. Unknown indices
-    /// are `Ok(None)`; a disk line that fails validation (truncated,
-    /// bit-flipped, foreign) is a typed error — the caller decides whether
-    /// to drop the line and degrade or abort the stage.
+    /// are `Ok(None)`; a disk line that fails validation (torn,
+    /// bit-flipped, foreign, misplaced) is a typed error — the caller
+    /// decides whether to drop the line and degrade or abort the stage.
+    /// Disk reads are positional, so parallel readers share the store.
     pub fn get(&self, index: usize) -> Result<Option<(usize, Vec<T>)>, StorageError> {
         let Some(line) = self.lines.get(&index) else { return Ok(None) };
-        let cells = match &line.data {
-            Stored::Memory(v) => v.clone(),
-            Stored::Disk(path) => {
-                let (meta, payload) = storage::read_frame(path, self.fingerprint)?;
-                if meta.index != index as u64 || meta.origin != line.origin as u64 {
-                    return Err(StorageError::Corrupt {
-                        path: path.clone(),
-                        reason: format!(
-                            "frame header names line {}@{}, store expected {index}@{}",
-                            meta.index, meta.origin, line.origin
-                        ),
-                    });
-                }
-                payload.chunks_exact(8).map(|c| T::decode(cell8(c))).collect()
+        let cells = match (&line.data, &self.log) {
+            (Stored::Memory(v), _) => v.clone(),
+            (Stored::Disk(offset), Some(log)) => {
+                let frame =
+                    log.read_frame(*offset, index as u64, line.origin as u64, line.len as u64)?;
+                frame[storage::FRAME_HEADER_BYTES..]
+                    .chunks_exact(CELL_BYTES as usize)
+                    .map(|c| T::decode(cell8(c)))
+                    .collect()
+            }
+            (Stored::Disk(_), None) => {
+                return Err(StorageError::Corrupt {
+                    path: self.dir.clone().unwrap_or_default(),
+                    reason: format!("line {index} is indexed but the store has no log"),
+                })
             }
         };
         Ok(Some((line.origin, cells)))
@@ -538,25 +535,28 @@ impl<T: BusCell> LineStore<T> {
         }
     }
 
-    /// Drop a completed line, freeing its budget (and its disk file).
+    /// Drop a completed line, freeing its budget. Its frame stays in the
+    /// log as dead bytes until the next compaction.
     pub fn remove(&mut self, index: usize) {
         if let Some(line) = self.lines.remove(&index) {
             self.used -= CELL_BYTES * line.len as u64;
-            if let Stored::Disk(path) = line.data {
-                storage::remove_file_quiet(&path);
+            if let Stored::Disk(_) = line.data {
+                self.dead += storage::frame_bytes(line.len as u64);
             }
         }
     }
 
-    /// Drop every line and partial, deleting all disk files. Called on the
+    /// Drop every line and partial and delete the disk log. Called on the
     /// success path so a finished run leaves no state behind regardless of
     /// [`LineStore::persist_on_drop`].
     pub fn clear(&mut self) {
-        let indices: Vec<usize> = self.lines.keys().copied().collect();
-        for i in indices {
-            self.remove(i);
+        self.lines.clear();
+        self.partial.clear();
+        self.used = 0;
+        self.dead = 0;
+        if let Some(log) = self.log.take() {
+            log.delete();
         }
-        self.abort_partials();
     }
 
     /// Bytes currently accounted against the budget.
@@ -582,10 +582,9 @@ impl<T: BusCell> LineStore<T> {
 
 impl<T: BusCell> Drop for LineStore<T> {
     fn drop(&mut self) {
-        if self.dir.is_some() && !self.persist {
-            let indices: Vec<usize> = self.lines.keys().copied().collect();
-            for i in indices {
-                self.remove(i);
+        if !self.persist {
+            if let Some(log) = self.log.take() {
+                log.delete();
             }
         }
     }
@@ -708,13 +707,27 @@ mod tests {
             assert_eq!(origin, 3);
             assert_eq!(cells[0], CellHE { h: 1, e: NEG_INF });
             assert_eq!(cells[3], CellHE { h: 9, e: 9 });
-            // File exists on disk: framed, so header + 32 payload bytes.
-            let path = dir.join("col-7-3.bin");
+            // One log on disk holding one frame: header + 32 payload bytes.
+            let path = dir.join("col.log");
             assert_eq!(fs::metadata(&path).unwrap().len(), storage::FRAME_HEADER_BYTES as u64 + 32);
+            assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         }
-        // Dropped store cleans its files (persist_on_drop defaults off).
+        // Dropped store deletes its log (persist_on_drop defaults off).
         assert!(fs::read_dir(&dir).map(|d| d.count() == 0).unwrap_or(true));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Offsets and lengths of the frames in a log, walked by header length.
+    fn frames_in(log: &[u8]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at + storage::FRAME_HEADER_BYTES <= log.len() {
+            let cells = u64::from_le_bytes(log[at + 32..at + 40].try_into().unwrap());
+            let bytes = storage::frame_bytes(cells) as usize;
+            out.push((at, bytes));
+            at += bytes;
+        }
+        out
     }
 
     #[test]
@@ -728,9 +741,9 @@ mod tests {
             store.put_segment(5, 0, [hf(1), hf(2)].into_iter());
             store.persist_on_drop(true);
         }
-        // A stale tmp sibling and an unrelated-prefix file join the orphan.
-        fs::write(dir.join("row-9-0.bin.tmp"), b"half a frame").unwrap();
-        fs::write(dir.join("col-1-0.bin"), b"other store's file").unwrap();
+        // A stale compaction tmp and another store's log join the orphan.
+        fs::write(dir.join("row.log.tmp"), b"half a compaction").unwrap();
+        fs::write(dir.join("col.log"), b"other store's log").unwrap();
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 3);
 
         // reopen adopts the valid line and sweeps only the tmp.
@@ -740,16 +753,17 @@ mod tests {
         assert_eq!(reopened.get(5).unwrap().unwrap().1.len(), 2);
         assert_eq!(reopened.stats().swept_files, 1, "tmp sibling swept");
         assert_eq!(reopened.stats().rejected_files, 0);
-        drop(reopened); // deletes row-5-0.bin (persist off by default)
+        drop(reopened); // deletes row.log (persist off by default)
+        assert!(!dir.join("row.log").exists());
 
-        fs::write(dir.join("row-3-0.bin"), b"orphan from a crashed run").unwrap();
-        fs::write(dir.join("row-4-0.bin.tmp"), b"torn").unwrap();
+        fs::write(dir.join("row.log"), b"orphan from a crashed run").unwrap();
+        fs::write(dir.join("row.log.tmp"), b"torn").unwrap();
         let store: LineStore<CellHF> =
             LineStore::new(&SraBackend::Disk(dir.clone()), 1 << 20, "row", FP).unwrap();
         assert!(store.is_empty());
-        assert_eq!(store.stats().swept_files, 2, "orphan + tmp swept on new");
-        assert!(!dir.join("row-3-0.bin").exists());
-        assert!(dir.join("col-1-0.bin").exists(), "other prefix untouched");
+        assert_eq!(store.stats().swept_files, 2, "orphan log + tmp swept on new");
+        assert!(!dir.join("row.log").exists());
+        assert!(dir.join("col.log").exists(), "other prefix untouched");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -767,20 +781,23 @@ mod tests {
             }
             store.persist_on_drop(true);
         }
-        // Corrupt line 2 (bit flip in the payload), truncate line 4.
-        let p2 = dir.join("row-2-0.bin");
-        let mut b = fs::read(&p2).unwrap();
-        let at = b.len() - 3;
-        b[at] ^= 0x40;
-        fs::write(&p2, &b).unwrap();
-        let p4 = dir.join("row-4-0.bin");
-        let b = fs::read(&p4).unwrap();
-        fs::write(&p4, &b[..b.len() / 2]).unwrap();
+        // Corrupt line 2 (bit flip in its payload), tear line 6 (the tail).
+        let path = dir.join("row.log");
+        let mut b = fs::read(&path).unwrap();
+        let frames = frames_in(&b);
+        assert_eq!(frames.len(), 3);
+        let (at2, len2) = frames[0];
+        b[at2 + len2 - 3] ^= 0x40;
+        let (at6, len6) = frames[2];
+        b.truncate(at6 + len6 / 2);
+        fs::write(&path, &b).unwrap();
 
         let reopened: LineStore<CellHF> = LineStore::reopen(&backend, 1 << 20, "row", FP).unwrap();
-        assert_eq!(reopened.indices(), vec![6], "only the intact line survives");
+        assert_eq!(reopened.indices(), vec![4], "only the intact line survives");
         assert_eq!(reopened.stats().rejected_files, 2);
-        assert!(!p2.exists() && !p4.exists(), "rejected files are deleted");
+        assert_eq!(fs::metadata(&path).unwrap().len(), at6 as u64, "torn tail truncated");
+        let (_, cells) = reopened.get(4).unwrap().unwrap();
+        assert_eq!(cells, (0..3).map(|k| hf(k as Score)).collect::<Vec<_>>());
         drop(reopened);
 
         // A whole store written under another job's fingerprint.
@@ -792,7 +809,7 @@ mod tests {
             store.persist_on_drop(true);
         }
         let reopened: LineStore<CellHF> = LineStore::reopen(&backend, 1 << 20, "row", FP).unwrap();
-        assert!(reopened.is_empty(), "foreign-fingerprint file not adopted");
+        assert!(reopened.is_empty(), "foreign-fingerprint frame not adopted");
         assert_eq!(reopened.stats().rejected_files, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -805,16 +822,58 @@ mod tests {
         {
             let mut store: LineStore<CellHF> =
                 LineStore::new(&backend, 1 << 20, "row", FP).unwrap();
-            store.try_begin_line(5, 0, 2);
-            store.put_segment(5, 0, [hf(1), hf(2)].into_iter());
+            for idx in [5usize, 9] {
+                store.try_begin_line(idx, 0, 2);
+                store.put_segment(idx, 0, [hf(1), hf(2)].into_iter());
+            }
             store.persist_on_drop(true);
         }
-        // A valid frame copied under the wrong name: header says line 5,
-        // name says line 7. Adopting it would hand Stage 2 the wrong row.
-        fs::copy(dir.join("row-5-0.bin"), dir.join("row-7-0.bin")).unwrap();
+        // Line 5's header rewritten to name line 7: adopting it would hand
+        // Stage 2 the wrong row, so the CRC (which covers the header) must
+        // reject it, and the line after it must still be found.
+        let path = dir.join("row.log");
+        let mut b = fs::read(&path).unwrap();
+        b[16..24].copy_from_slice(&7u64.to_le_bytes());
+        fs::write(&path, &b).unwrap();
         let reopened: LineStore<CellHF> = LineStore::reopen(&backend, 1 << 20, "row", FP).unwrap();
-        assert_eq!(reopened.indices(), vec![5]);
+        assert_eq!(reopened.indices(), vec![9]);
         assert_eq!(reopened.stats().rejected_files, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn removed_lines_compact_away_and_later_frames_win_on_reopen() {
+        let _guard = fault::test_guard();
+        let dir = tmpdir("compact");
+        let backend = SraBackend::Disk(dir.clone());
+        let path = dir.join("row.log");
+        // Budget: two live lines of 4 cells.
+        let mut store: LineStore<CellHF> = LineStore::new(&backend, 64, "row", FP).unwrap();
+        let frame = storage::frame_bytes(4);
+        let mut peak = 0;
+        for round in 0..10usize {
+            assert!(store.try_begin_line(round, round, 4));
+            assert!(store.put_segment(round, round, (0..4).map(|k| hf((round * 10 + k) as Score))));
+            if round > 0 {
+                store.remove(round - 1);
+            }
+            peak = peak.max(fs::metadata(&path).unwrap().len());
+        }
+        assert!(peak <= 2 * 64 + 2 * frame, "log stays near twice the budget ({peak})");
+        assert_eq!(store.indices(), vec![9]);
+        let (origin, cells) = store.get(9).unwrap().unwrap();
+        assert_eq!(origin, 9);
+        assert_eq!(cells[3].h, 93);
+        // Re-adding a removed index appends a newer frame; a reopen must
+        // serve the newer one.
+        store.remove(9);
+        assert!(store.try_begin_line(9, 9, 4));
+        assert!(store.put_segment(9, 9, (0..4).map(|k| hf(-(k as Score)))));
+        store.persist_on_drop(true);
+        drop(store);
+        let reopened: LineStore<CellHF> = LineStore::reopen(&backend, 64, "row", FP).unwrap();
+        assert_eq!(reopened.get(9).unwrap().unwrap().1[3].h, -3);
+        assert_eq!(reopened.stats().rejected_files, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -864,8 +923,8 @@ mod tests {
             LineStore::new(&SraBackend::Disk(dir.clone()), 1 << 20, "row", FP).unwrap();
         store.try_begin_line(6, 0, 2);
         store.put_segment(6, 0, [hf(1), hf(2)].into_iter());
-        // Corrupt the file behind the store's back.
-        let path = dir.join("row-6-0.bin");
+        // Corrupt the log behind the store's back.
+        let path = dir.join("row.log");
         let mut b = fs::read(&path).unwrap();
         let last = b.len() - 1;
         b[last] ^= 0x01;
@@ -893,7 +952,12 @@ mod tests {
         store.clear();
         assert!(store.is_empty());
         assert_eq!(store.bytes_used(), 0);
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "disk files deleted");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "disk log deleted");
+        // The store stays usable: the next line starts a new log.
+        assert!(store.try_begin_line(5, 0, 1));
+        assert!(store.put_segment(5, 0, [hf(4)].into_iter()));
+        assert_eq!(store.get(5).unwrap().unwrap().1[0].h, 4);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,13 +7,10 @@
 //!
 //! Two schedulers implement that dependence structure:
 //!
-//! * **Diagonal-barrier** (the original engine, still used for serial
-//!   runs): walk diagonals in order, execute each diagonal's blocks
-//!   concurrently on the persistent [`crate::exec::WorkerPool`] (one
-//!   scope per diagonal is the barrier), then commit results in block
-//!   order. Simple, but every diagonal ends in a global barrier and a
-//!   block's tile data bounces between workers' caches from one diagonal
-//!   to the next.
+//! * **Serial** (one worker, or a single block column): walk diagonals in
+//!   order, execute each diagonal's blocks on the calling thread through
+//!   one run-wide query-profile cache, then commit results in block
+//!   order.
 //!
 //! * **Column-strip** (parallel runs): each worker *owns* a contiguous
 //!   strip of block-columns for the whole run ([`StripPlan`]), walking it
@@ -210,8 +207,8 @@ pub struct StripStats {
 /// thing either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleInfo {
-    /// Diagonal-barrier engine (serial runs, and all checkpoints written
-    /// before strip scheduling existed).
+    /// Serial engine (one worker or one block column, and all checkpoints
+    /// written before strip scheduling existed).
     Serial,
     /// Column-strip engine.
     Strips {
@@ -268,13 +265,10 @@ pub struct RegionResult {
     /// carried across checkpoint resume.
     pub paths: PathCounts,
     /// Query-profile cache lookups that found a resident band (this run).
-    /// Both cache counters stay 0 when the pooled diagonal-barrier engine
-    /// ran: its parallel block tasks share no cache (see `run_pooled`).
     pub profile_hits: u64,
     /// Query-profile cache lookups that built a fresh band (this run).
     pub profile_misses: u64,
-    /// Strip-scheduler counters; `None` when the diagonal-barrier engine
-    /// ran (serial execution).
+    /// Strip-scheduler counters; `None` when the serial engine ran.
     pub strip: Option<StripStats>,
 }
 
@@ -524,8 +518,8 @@ pub fn run(job: &RegionJob<'_>, observer: &mut dyn WavefrontObserver) -> RegionR
 ///
 /// Observationally identical to [`run`] for every pool size: block
 /// results are merged (and the observer notified) on the calling thread
-/// in block order after each diagonal's barrier, so scheduling cannot
-/// change scores, endpoints, buses, or observer event order.
+/// in canonical diagonal order, so scheduling cannot change scores,
+/// endpoints, buses, or observer event order.
 pub fn run_pooled(
     pool: &WorkerPool,
     job: &RegionJob<'_>,
@@ -666,9 +660,7 @@ fn run_engine(
     let mut first_diagonal = 0usize;
     // Serial execution walks a handful of band rows per diagonal and
     // revisits them on the next, so one run-wide profile cache catches
-    // the reuse. The pooled branch below shares no cache across its
-    // concurrent block tasks (a shared cache would serialize them) and
-    // reports zero cache traffic.
+    // the reuse.
     let mut profile_cache = crate::striped::ProfileCache::new();
 
     if let Some(state) = resume {
@@ -834,10 +826,11 @@ fn run_engine(
             }
         }
 
-        // Execute the diagonal. A `Some` cache threads the run-wide
-        // profile cache through (serial execution only — the pooled
-        // branch passes `None` since its tasks run concurrently).
-        let run_task = |t: &mut Task<'_, '_>, cache: Option<&mut crate::striped::ProfileCache>| {
+        // Execute the diagonal serially, through the run-wide profile
+        // cache. (More than one worker over more than one block column
+        // took the strip engine above; a single block column puts one
+        // block on each diagonal.)
+        for t in tasks.iter_mut() {
             #[cfg(feature = "race-check")]
             race_session.block_reads(
                 t.coords.r,
@@ -846,33 +839,19 @@ fn run_engine(
                 (t.coords.cols.0 - 1, t.hseg.len()),
                 (t.coords.rows.0 - 1, t.vseg.len()),
             );
-            let out = match cache {
-                Some(cache) => kernel::compute_tile_cached(
-                    t.a_tile,
-                    t.b_tile,
-                    t.coords.rows.0,
-                    t.coords.cols.0,
-                    &job.scoring,
-                    local,
-                    job.watch,
-                    t.corner,
-                    t.hseg,
-                    t.vseg,
-                    cache,
-                ),
-                None => kernel::compute_tile(
-                    t.a_tile,
-                    t.b_tile,
-                    t.coords.rows.0,
-                    t.coords.cols.0,
-                    &job.scoring,
-                    local,
-                    job.watch,
-                    t.corner,
-                    t.hseg,
-                    t.vseg,
-                ),
-            };
+            let out = kernel::compute_tile_cached(
+                t.a_tile,
+                t.b_tile,
+                t.coords.rows.0,
+                t.coords.cols.0,
+                &job.scoring,
+                local,
+                job.watch,
+                t.corner,
+                t.hseg,
+                t.vseg,
+                &mut profile_cache,
+            );
             #[cfg(feature = "race-check")]
             race_session.block_writes(
                 t.coords.r,
@@ -883,27 +862,6 @@ fn run_engine(
                 false,
             );
             t.outcome = Some(out);
-        };
-        let parallel = workers > 1 && tasks.len() > 1;
-        if parallel {
-            // One pool scope per diagonal: the scope's drain is the
-            // barrier. Threads persist across diagonals; only the job
-            // handoff is paid here.
-            let chunk = tasks.len().div_ceil(workers.min(tasks.len()));
-            let run_task = &run_task;
-            pool.scope(|s| {
-                for group in tasks.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for t in group.iter_mut() {
-                            run_task(t, None);
-                        }
-                    });
-                }
-            })?;
-        } else {
-            for t in tasks.iter_mut() {
-                run_task(t, Some(&mut profile_cache));
-            }
         }
 
         diagonals_run += 1;
@@ -911,8 +869,8 @@ fn run_engine(
 
         // Commit results and notify the observer, in block order.
         for t in tasks.iter_mut() {
-            // lint: allow(no-panics): the scope() above returned Ok, which
-            // guarantees every task of this diagonal ran to completion.
+            // lint: allow(no-panics): the loop above computed every task
+            // of this diagonal before any is committed.
             let out = t.outcome.expect("task executed");
             cells += out.cells;
             paths.count(out.path);

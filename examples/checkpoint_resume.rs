@@ -45,7 +45,7 @@ fn main() {
             Some((dir.as_path(), 16)),
         );
         println!("full stage 1: {:.2}s", t.elapsed().as_secs_f64());
-        std::mem::forget(rows); // crash: leave the special-row files behind
+        std::mem::forget(rows); // crash: leave the special-row log behind
     }
     let (snap, row_bytes) = stage1::load_checkpoint(&dir, fp).expect("snapshot parses");
     println!(

@@ -1,11 +1,11 @@
 //! Crash-recovery torture tests for the storage layer: simulated kills at
-//! random diagonals, corrupted/truncated survivor files, injected disk
-//! faults. The contract under every fault: the pipeline either produces a
+//! random diagonals, corrupted/truncated frames in the surviving logs,
+//! injected disk faults. The contract under every fault: the pipeline either produces a
 //! result as good as the uninterrupted run or a clean typed error — never
 //! a panic, never a silently wrong alignment.
 
 use cudalign::config::{CheckpointPolicy, SraBackend};
-use cudalign::obs::Obs;
+use cudalign::obs::{Event, Obs, Recorder};
 use cudalign::storage::fault;
 use cudalign::{Pipeline, PipelineConfig, PipelineError, RunControl};
 use integration_tests::edited_pair;
@@ -36,18 +36,22 @@ fn ckpt_cfg(dir: &Path) -> PipelineConfig {
     cfg
 }
 
-fn special_row_files(dir: &Path) -> Vec<PathBuf> {
-    let mut v: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("special-row-") && n.ends_with(".bin"))
-        })
-        .collect();
-    v.sort();
-    v
+/// The special-row log of a run whose store directory is `dir`.
+fn special_row_log(dir: &Path) -> PathBuf {
+    dir.join("special-row.log")
+}
+
+/// `(offset, bytes)` of every frame in a log, walked by header length.
+fn frames_in(log: &[u8]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at + 44 <= log.len() {
+        let cells = u64::from_le_bytes(log[at + 32..at + 40].try_into().unwrap());
+        let bytes = 44 + 8 * cells as usize;
+        out.push((at, bytes));
+        at += bytes;
+    }
+    out
 }
 
 fn assert_optimal(res: &cudalign::PipelineResult, a: &[u8], b: &[u8], tag: &str) {
@@ -212,10 +216,11 @@ fn cancel_at_arbitrary_diagonal_resumes_under_a_different_worker_count() {
     }
 }
 
-/// Damage what the crash left behind — bit-flip one special-row file,
-/// truncate another — then resume. The damaged rows are rejected (counted,
-/// deleted, never decoded) and the pipeline still reaches the optimal
-/// alignment, verified against an independent quadratic reference.
+/// Damage what the crash left behind — bit-flip one special-row frame
+/// inside the log, truncate the log's tail mid-frame — then resume. The
+/// damaged rows are rejected (counted, never decoded) and the pipeline
+/// still reaches the optimal alignment, verified against an independent
+/// quadratic reference.
 #[test]
 fn corrupted_survivors_still_reach_the_optimal_alignment() {
     let _guard = fault::test_guard();
@@ -228,31 +233,28 @@ fn corrupted_survivors_still_reach_the_optimal_alignment() {
     Pipeline::new(cfg.clone()).align(&a, &b).expect_err("armed kill must interrupt");
     fault::disarm_all();
 
-    let rows = special_row_files(&dir);
-    let mut damaged = 0u64;
-    if let Some(p) = rows.first() {
-        let mut bytes = std::fs::read(p).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x04;
-        std::fs::write(p, &bytes).unwrap();
-        damaged += 1;
-    }
-    if let Some(p) = rows.get(1) {
-        let bytes = std::fs::read(p).unwrap();
-        std::fs::write(p, &bytes[..bytes.len() / 3]).unwrap();
-        damaged += 1;
-    }
+    let log = special_row_log(&dir);
+    let mut bytes = std::fs::read(&log).unwrap();
+    let frames = frames_in(&bytes);
+    assert!(frames.len() >= 2, "the killed run must leave two rows to damage");
+    assert_eq!(frames.iter().map(|f| f.1).sum::<usize>(), bytes.len(), "frames tile the log");
+    let (first, first_len) = frames[0];
+    bytes[first + 44 + (first_len - 44) / 2] ^= 0x04;
+    let (last, last_len) = frames[frames.len() - 1];
+    bytes.truncate(last + last_len / 3);
+    std::fs::write(&log, &bytes).unwrap();
+    let damaged = 2u64;
 
     let res = Pipeline::new(cfg).align(&a, &b).expect("resume with damaged rows");
     assert_optimal(&res, &a, &b, "damaged rows");
     assert!(res.stats.resumed_from_diagonal > 0, "checkpoint itself was intact");
-    assert_eq!(res.stats.storage_rejected_files, damaged, "each damaged file counted");
+    assert_eq!(res.stats.storage_rejected_files, damaged, "each damaged frame counted");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Damage the checkpoint itself: the resumed run must fall back to a
 /// fresh start (resuming from garbage is never acceptable), sweep the now
-/// orphaned row files, and still produce the optimal alignment.
+/// orphaned row log, and still produce the optimal alignment.
 #[test]
 fn corrupted_checkpoint_falls_back_to_a_fresh_start() {
     let _guard = fault::test_guard();
@@ -270,15 +272,13 @@ fn corrupted_checkpoint_falls_back_to_a_fresh_start() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20;
     std::fs::write(&ckpt, &bytes).unwrap();
-    let orphans = special_row_files(&dir).len() as u64;
+    let orphans = u64::from(special_row_log(&dir).exists());
+    assert_eq!(orphans, 1, "the killed run left its row log behind");
 
     let res = Pipeline::new(cfg).align(&a, &b).expect("fresh start after bad checkpoint");
     assert_optimal(&res, &a, &b, "bad checkpoint");
     assert_eq!(res.stats.resumed_from_diagonal, 0, "garbage snapshot must not resume");
-    assert!(
-        res.stats.storage_swept_files >= orphans,
-        "orphaned row files swept on the fresh start"
-    );
+    assert!(res.stats.storage_swept_files >= orphans, "orphaned row log swept on the fresh start");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -349,4 +349,48 @@ fn injected_write_and_read_faults_degrade_never_wrong() {
             std::env::temp_dir().join(format!("cudalign-torture-{tag}-{}", std::process::id())),
         );
     }
+}
+
+/// Counts the files in a store directory at every trace event.
+struct DirWatch {
+    dir: PathBuf,
+    max_files: usize,
+    flushes: usize,
+}
+
+impl Recorder for DirWatch {
+    fn record(&mut self, _t: std::time::Duration, ev: &Event) {
+        if matches!(ev, Event::StorageFlush { .. }) {
+            self.flushes += 1;
+        }
+        let files = std::fs::read_dir(&self.dir).map_or(0, |d| d.count());
+        self.max_files = self.max_files.max(files);
+    }
+}
+
+/// A disk-backed run keeps its special rows and columns in one log per
+/// store: however many lines it flushes, the store directory never holds
+/// more than two files, and none once the run has finished.
+#[test]
+fn disk_run_keeps_at_most_two_line_files() {
+    let _guard = fault::test_guard();
+    let (a, b) = edited_pair(45, 400, 11);
+    let dir = fresh_dir("two-logs");
+    let mut cfg = PipelineConfig::for_tests();
+    cfg.backend = SraBackend::Disk(dir.clone());
+    let mut watch = DirWatch { dir: dir.clone(), max_files: 0, flushes: 0 };
+    let mut obs = Obs::new();
+    obs.add_recorder(&mut watch);
+    let res = Pipeline::new(cfg).align_observed(&a, &b, &mut obs).expect("disk run");
+    drop(obs);
+    assert_optimal(&res, &a, &b, "two logs");
+    assert!(
+        res.stats.special_rows + res.stats.special_columns > 2,
+        "the run must flush more lines than there are logs"
+    );
+    assert!(watch.flushes > 2, "flushes observed while the run was going");
+    assert!(watch.max_files >= 1, "the logs exist while the run is going");
+    assert!(watch.max_files <= 2, "{} files in the store directory", watch.max_files);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing left after success");
+    let _ = std::fs::remove_dir_all(&dir);
 }
