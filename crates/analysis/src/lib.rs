@@ -14,7 +14,7 @@
 //!
 //! The linter is deliberately std-only (the build environment has no
 //! registry access, the same constraint that produced the vendored
-//! `rand`/`proptest`/`criterion` stubs). It works on a hand-rolled Rust
+//! `rand`/`proptest` stubs). It works on a hand-rolled Rust
 //! lexer ([`mod@lexer`]): each file is tokenized once into a stream that
 //! understands raw strings, nested block comments, lifetimes vs. char
 //! literals and doc comments, with brace-depth and paren/bracket-depth

@@ -19,7 +19,7 @@ pub(crate) struct Raw {
 
 /// Crates vendored as minimal API mirrors of external registry crates;
 /// they follow upstream's API shape, not this repo's conventions.
-const VENDORED: &[&str] = &["crates/rand/", "crates/proptest/", "crates/criterion/"];
+const VENDORED: &[&str] = &["crates/rand/", "crates/proptest/"];
 
 /// Files making up the gpu-sim compute hot path (the per-cell /
 /// per-diagonal loops a wall-clock read would perturb and serialize).
@@ -59,15 +59,13 @@ pub(crate) const LOCK_RANKS: &[&str] = &[
 ];
 
 /// Identifiers whose presence in a supervised loop marks it as reaching
-/// a cancellation check (directly or through the heartbeat protocol).
+/// a cancellation check.
 const CANCEL_MARKERS: &[&str] = &[
     "check",
     "is_cancelled",
     "cancel",
     "cancelled",
     "Cancelled",
-    "beat",
-    "beats",
     "shutdown",
     "CancelToken",
     "RunControl",

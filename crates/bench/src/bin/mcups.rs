@@ -1,6 +1,6 @@
 //! MCUPS trajectory of the DP kernel: scalar reference vs the `i16`
-//! striped rung vs the full precision ladder (`i8` first attempt), on the
-//! same shapes the criterion microbenches use.
+//! striped rung vs the full precision ladder (`i8` first attempt), on
+//! rowdp, tile and wavefront shapes.
 //!
 //! ```text
 //! cargo run --release -p cudalign-bench --bin mcups [-- --quick] [--out PATH] [--check-scaling]
@@ -34,7 +34,7 @@ use gpu_sim::kernel::{
     compute_tile, compute_tile_i16, compute_tile_scalar, global_borders, local_borders,
     GlobalOrigin, KernelPath,
 };
-use gpu_sim::wavefront::{run_pooled, NoObserver, RegionJob};
+use gpu_sim::wavefront::{run, NoObserver, RegionJob, RunOpts};
 use gpu_sim::{striped, GridSpec, Mode, WorkerPool};
 use std::io::Write;
 use std::time::Instant;
@@ -182,7 +182,7 @@ fn wavefront_case(m: usize, n: usize, workers: usize, budget: f64, entries: &mut
     let mut paths = gpu_sim::kernel::PathCounts::default();
     let mut profile = (0u64, 0u64);
     let (cells, seconds) = time_case((m * n) as u64, budget, || {
-        let res = run_pooled(&pool, &job, &mut NoObserver).expect("no worker panic");
+        let res = run(&pool, &job, &mut NoObserver, RunOpts::default()).expect("no worker panic");
         paths = res.paths;
         profile = (res.profile_hits, res.profile_misses);
         res.best.map_or(0, |(s, _, _)| s)
@@ -317,7 +317,7 @@ fn main() {
     let budget = if quick { 0.05 } else { 0.5 };
 
     let mut entries = Vec::new();
-    // The rowdp shapes from benches/kernel.rs: one tall tile. The global
+    // The rowdp shapes: one tall tile. The global
     // variant's deep borders exceed the i8 window (the ladder escalates
     // immediately); the local variant is where the i8 rung commits.
     let (rh, rw) = if quick { (256, 1024) } else { (1024, 4096) };
@@ -326,7 +326,7 @@ fn main() {
         tile_case("rowdp", rh, rw, local, TilePath::I16, budget, &mut entries);
         tile_case("rowdp", rh, rw, local, TilePath::Auto, budget, &mut entries);
     }
-    // The tile shapes from benches/kernel.rs, both modes, all three paths.
+    // The tile shapes, both modes, all three paths.
     let shapes: &[(usize, usize)] =
         if quick { &[(128, 128), (128, 512)] } else { &[(256, 256), (256, 4096)] };
     for &(h, w) in shapes {

@@ -32,7 +32,7 @@ USAGE:
       --stats                 print per-stage statistics
       --trace FILE            write an NDJSON event trace of the run
                               (spans, per-diagonal ticks, metrics dump,
-                              cancel/deadline/stall interrupt records)
+                              cancel/deadline interrupt records)
       --progress              live progress line on stderr with
                               percent-complete and ETA (resume-aware)
 

@@ -74,3 +74,43 @@ pub use pipeline::{Pipeline, PipelineError, PipelineResult, PipelineStats, Stage
 pub use serve::{JobHandle, JobReport, JobRequest, ServeConfig, ServeError, ServeStats, Server};
 pub use storage::StorageError;
 pub use supervise::RunControl;
+
+/// Test fixtures: the first stages chained the way the pipeline chains
+/// them, on in-memory line stores, untraced and unsupervised.
+#[cfg(test)]
+mod fixtures {
+    use crate::config::SraBackend;
+    use crate::sra::LineStore;
+    use crate::stage1::{self, Stage1Result};
+    use crate::stage2::{self, Stage2Result};
+    use crate::{Obs, PipelineConfig, RunControl, WorkerPool};
+    use gpu_sim::{CellHE, CellHF};
+
+    /// Stage 1 into a fresh row store of `cfg.sra_bytes`.
+    pub(crate) fn stage1(
+        a: &[u8],
+        b: &[u8],
+        cfg: &PipelineConfig,
+        pool: &WorkerPool,
+    ) -> (Stage1Result, LineStore<CellHF>) {
+        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
+        let ctrl = RunControl::unlimited();
+        let res = stage1::run(a, b, cfg, pool, &mut rows, None, None, &mut Obs::new(), &ctrl);
+        (res.unwrap(), rows)
+    }
+
+    /// Stages 1 and 2, with a fresh column store of `cfg.sca_bytes`.
+    pub(crate) fn stages_1_2(
+        a: &[u8],
+        b: &[u8],
+        cfg: &PipelineConfig,
+        pool: &WorkerPool,
+    ) -> (Stage1Result, Stage2Result, LineStore<CellHE>) {
+        let (s1r, mut rows) = stage1(a, b, cfg, pool);
+        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
+        let (best, end, ctrl) = (s1r.best_score, s1r.end, RunControl::unlimited());
+        let s2r =
+            stage2::run(a, b, cfg, pool, best, end, &mut rows, &mut cols, &mut Obs::new(), &ctrl);
+        (s1r, s2r.unwrap(), cols)
+    }
+}

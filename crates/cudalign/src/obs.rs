@@ -323,15 +323,15 @@ pub enum Event {
         /// Whether the snapshot was persisted.
         ok: bool,
     },
-    /// The run was interrupted — cancelled, past its deadline, or
-    /// stalled. Terminal diagnostic: the pipeline returns the matching
+    /// The run was interrupted — cancelled or past its deadline.
+    /// Terminal diagnostic: the pipeline returns the matching
     /// typed error immediately after emitting it, so an interrupted
     /// trace ends with this record (plus an optional [`Event::StallDiag`])
     /// instead of `run_end`.
     Interrupt {
         /// Stage that observed the interruption, 1..=6.
         stage: u8,
-        /// `"cancelled"`, `"deadline"`, or `"stalled"`.
+        /// `"cancelled"` or `"deadline"`.
         kind: &'static str,
         /// External diagonal the run can resume from (stage 1), else 0.
         diagonal: usize,
@@ -339,10 +339,11 @@ pub enum Event {
         /// milliseconds on the supervisor's clock (0 when unknown).
         latency_ms: f64,
     },
-    /// Strip-scheduler coordination snapshot attached to a stall
-    /// diagnosis: where every strip and runner was when the run stopped.
+    /// Strip-scheduler coordination snapshot attached to an
+    /// interruption: where every strip and runner was when the run
+    /// stopped.
     StallDiag {
-        /// Stage that owned the strip launch (currently always 1).
+        /// Stage whose strip launch was torn down.
         stage: u8,
         /// Delivery frontier (external diagonal) at teardown.
         front: usize,
@@ -404,8 +405,7 @@ pub enum Event {
     JobEnd {
         /// Serve-assigned job id.
         job: u64,
-        /// `"ok"`, `"cached"`, `"cancelled"`, `"deadline"`, `"stalled"`,
-        /// or `"failed"`.
+        /// `"ok"`, `"cached"`, `"cancelled"`, `"deadline"`, or `"failed"`.
         outcome: &'static str,
         /// Queue wait plus run time, in seconds on the server's clock.
         seconds: f64,
@@ -1191,7 +1191,7 @@ pub struct TraceCheck {
     pub strip_steals: usize,
     /// `strip_steal` records total (home claims + steals).
     pub strip_claims: usize,
-    /// `interrupt` records seen (cancel / deadline / stall diagnoses).
+    /// `interrupt` records seen (cancel / deadline).
     pub interrupts: usize,
     /// `job_submit` records seen (serve-mode per-job traces).
     pub jobs: usize,
@@ -1333,7 +1333,7 @@ fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
             "cached" if st.begun => {
                 return Err("outcome \"cached\" on a trace with run records".to_string());
             }
-            "ok" | "cached" | "cancelled" | "deadline" | "stalled" | "failed" => {}
+            "ok" | "cached" | "cancelled" | "deadline" | "failed" => {}
             other => return Err(format!("unknown job outcome {other:?}")),
         }
         req_num(&obj, "seconds")?;
@@ -1492,7 +1492,7 @@ fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
                 .get("kind")
                 .and_then(Json::str_val)
                 .ok_or("missing or non-string \"kind\" field")?;
-            if !matches!(kind, "cancelled" | "deadline" | "stalled") {
+            if !matches!(kind, "cancelled" | "deadline") {
                 return Err(format!("unknown interrupt kind {kind:?}"));
             }
             req_num(&obj, "diagonal")?;
@@ -1835,7 +1835,12 @@ mod tests {
             obs.emit(Event::StageBegin { stage: 1 });
             clk.advance(Duration::from_millis(40));
             obs.emit(Event::Diagonal { stage: 1, done: 3, total: 10 });
-            obs.emit(Event::Interrupt { stage: 1, kind: "stalled", diagonal: 3, latency_ms: 12.5 });
+            obs.emit(Event::Interrupt {
+                stage: 1,
+                kind: "deadline",
+                diagonal: 3,
+                latency_ms: 12.5,
+            });
             obs.emit(Event::StallDiag {
                 stage: 1,
                 front: 3,

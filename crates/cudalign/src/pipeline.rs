@@ -54,18 +54,11 @@ pub enum StageError {
         /// The deadline budget that expired, in milliseconds.
         budget_ms: u64,
     },
-    /// The stall watchdog saw no forward progress within its budget.
-    Stalled {
-        /// External diagonal the run can resume from (0 outside stage 1).
-        diagonal: usize,
-        /// The stall budget that was exceeded, in milliseconds.
-        budget_ms: u64,
-    },
 }
 
 impl StageError {
-    /// Is this an interruption (cancel / deadline / stall / simulated
-    /// kill) rather than a genuine failure? Interrupted runs are fully
+    /// Is this an interruption (cancel / deadline / simulated kill)
+    /// rather than a genuine failure? Interrupted runs are fully
     /// resumable; nothing is wrong with the pipeline itself.
     pub fn is_interruption(&self) -> bool {
         matches!(
@@ -73,7 +66,6 @@ impl StageError {
             StageError::Interrupted { .. }
                 | StageError::Cancelled { .. }
                 | StageError::DeadlineExceeded { .. }
-                | StageError::Stalled { .. }
         )
     }
 }
@@ -94,12 +86,6 @@ impl std::fmt::Display for StageError {
                 write!(
                     f,
                     "stage exceeded its {budget_ms} ms deadline at external diagonal {diagonal}"
-                )
-            }
-            StageError::Stalled { diagonal, budget_ms } => {
-                write!(
-                    f,
-                    "stage stalled (no progress within {budget_ms} ms) at external diagonal {diagonal}"
                 )
             }
         }
@@ -171,18 +157,11 @@ pub enum PipelineError {
         /// The deadline budget that expired, in milliseconds.
         budget_ms: u64,
     },
-    /// The stall watchdog saw no forward progress within its budget.
-    Stalled {
-        /// External diagonal the run can resume from (0 outside stage 1).
-        diagonal: usize,
-        /// The stall budget that was exceeded, in milliseconds.
-        budget_ms: u64,
-    },
 }
 
 impl PipelineError {
-    /// Is this an interruption (cancel / deadline / stall / simulated
-    /// kill) rather than a genuine failure? Interrupted runs are fully
+    /// Is this an interruption (cancel / deadline / simulated kill)
+    /// rather than a genuine failure? Interrupted runs are fully
     /// resumable: rerunning the same pipeline continues (or restarts)
     /// correctly and yields a byte-identical result.
     pub fn is_interruption(&self) -> bool {
@@ -191,7 +170,6 @@ impl PipelineError {
             PipelineError::Interrupted { .. }
                 | PipelineError::Cancelled { .. }
                 | PipelineError::DeadlineExceeded { .. }
-                | PipelineError::Stalled { .. }
         )
     }
 
@@ -203,7 +181,6 @@ impl PipelineError {
         match self {
             PipelineError::Cancelled { .. } => Some("cancelled"),
             PipelineError::DeadlineExceeded { .. } => Some("deadline"),
-            PipelineError::Stalled { .. } => Some("stalled"),
             _ => None,
         }
     }
@@ -214,8 +191,7 @@ impl PipelineError {
         match self {
             PipelineError::Interrupted { diagonal }
             | PipelineError::Cancelled { diagonal }
-            | PipelineError::DeadlineExceeded { diagonal, .. }
-            | PipelineError::Stalled { diagonal, .. } => Some(*diagonal),
+            | PipelineError::DeadlineExceeded { diagonal, .. } => Some(*diagonal),
             _ => None,
         }
     }
@@ -242,12 +218,6 @@ impl std::fmt::Display for PipelineError {
                     "pipeline exceeded its {budget_ms} ms deadline at external diagonal {diagonal} (resume to continue)"
                 )
             }
-            PipelineError::Stalled { diagonal, budget_ms } => {
-                write!(
-                    f,
-                    "pipeline stalled (no progress within {budget_ms} ms) at external diagonal {diagonal} (resume to continue)"
-                )
-            }
         }
     }
 }
@@ -264,9 +234,6 @@ impl From<StageError> for PipelineError {
             StageError::Cancelled { diagonal } => PipelineError::Cancelled { diagonal },
             StageError::DeadlineExceeded { diagonal, budget_ms } => {
                 PipelineError::DeadlineExceeded { diagonal, budget_ms }
-            }
-            StageError::Stalled { diagonal, budget_ms } => {
-                PipelineError::Stalled { diagonal, budget_ms }
             }
         }
     }
@@ -360,7 +327,7 @@ pub struct PipelineStats {
     /// Query-profile cache misses (profile bands built) across the
     /// engine-driven stages.
     pub kernel_profile_misses: u64,
-    /// Supervised interruptions (cancel / deadline / stall) recorded on
+    /// Supervised interruptions (cancel / deadline) recorded on
     /// this run's metrics registry. Non-zero only when the caller reuses
     /// one [`Obs`] across an interrupted run and its resume — the
     /// resumed run's stats then carry the interruption history.
@@ -477,19 +444,18 @@ impl Pipeline {
         s1: &[u8],
         obs: &mut Obs<'_>,
     ) -> Result<PipelineResult, PipelineError> {
-        self.align_with_control(s0, s1, obs, &RunControl::unlimited())
+        self.align_supervised(s0, s1, obs, &RunControl::unlimited())
     }
 
     /// [`Pipeline::align_observed`] under a supervision policy.
     ///
     /// The [`RunControl`]'s cancel token is threaded through all six
-    /// stages and the wavefront engine; its deadline/stall budgets are
-    /// enforced by a watchdog thread spawned for the duration of this
-    /// call (and joined before it returns — a supervised run never leaks
-    /// a thread). An interruption surfaces as a typed
-    /// [`PipelineError::Cancelled`] / [`PipelineError::DeadlineExceeded`]
-    /// / [`PipelineError::Stalled`] — never a partial score — after
-    /// emitting an [`Event::Interrupt`] record (plus an
+    /// stages and the wavefront engine; its deadline is enforced by a
+    /// watchdog thread spawned for the duration of this call (and joined
+    /// before it returns — a supervised run never leaks a thread). An
+    /// interruption surfaces as a typed [`PipelineError::Cancelled`] /
+    /// [`PipelineError::DeadlineExceeded`] — never a partial score —
+    /// after emitting an [`Event::Interrupt`] record (plus an
     /// [`Event::StallDiag`] snapshot when the strip scheduler was torn
     /// down) and bumping the `supervise.*` metrics. With checkpointing
     /// configured, the engine flushes a boundary snapshot before
@@ -503,16 +469,6 @@ impl Pipeline {
         ctrl: &RunControl,
     ) -> Result<PipelineResult, PipelineError> {
         let _watchdog = ctrl.spawn_watchdog();
-        self.align_with_control(s0, s1, obs, ctrl)
-    }
-
-    fn align_with_control(
-        &self,
-        s0: &[u8],
-        s1: &[u8],
-        obs: &mut Obs<'_>,
-        ctrl: &RunControl,
-    ) -> Result<PipelineResult, PipelineError> {
         let cfg = &self.cfg;
         let pool = &*self.pool;
         let pool_before = pool.stats();
@@ -577,12 +533,12 @@ impl Pipeline {
         let t = obs.now();
         let s1r = match &cfg.checkpoint {
             None => {
-                let r = stage1::run_supervised(s0, s1, cfg, pool, &mut rows, None, None, obs, ctrl);
+                let r = stage1::run(s0, s1, cfg, pool, &mut rows, None, None, obs, ctrl);
                 r.map_err(|e| note_interruption(obs, ctrl, 1, e))?
             }
             Some(ck) => {
                 storage::ensure_dir(&ck.dir).map_err(|e| PipelineError::Io(e.to_string()))?;
-                let r = stage1::run_supervised(
+                let r = stage1::run(
                     s0,
                     s1,
                     cfg,
@@ -651,7 +607,7 @@ impl Pipeline {
         // matching procedure simply spans a larger area.
         obs.emit(Event::StageBegin { stage: 2 });
         let t = obs.now();
-        let s2r = stage2::run_supervised(
+        let s2r = stage2::run(
             s0,
             s1,
             cfg,
@@ -681,7 +637,7 @@ impl Pipeline {
         // are skipped and counted; their partitions stay coarse).
         obs.emit(Event::StageBegin { stage: 3 });
         let t = obs.now();
-        let s3r = stage3::run_supervised(s0, s1, cfg, pool, &s2r.chain, &cols, obs, ctrl);
+        let s3r = stage3::run(s0, s1, cfg, pool, &s2r.chain, &cols, obs, ctrl);
         let s3r = s3r.map_err(|e| note_interruption(obs, ctrl, 3, e))?;
         let seconds = obs.now().saturating_sub(t).as_secs_f64();
         record_kernel(obs, 3, &s3r.paths, s3r.profile_hits, s3r.profile_misses);
@@ -698,7 +654,7 @@ impl Pipeline {
         // Stage 4: Myers-Miller until partitions fit.
         obs.emit(Event::StageBegin { stage: 4 });
         let t = obs.now();
-        let s4r = stage4::run_supervised(s0, s1, cfg, pool, &s3r.chain, obs, ctrl);
+        let s4r = stage4::run(s0, s1, cfg, pool, &s3r.chain, obs, ctrl);
         let s4r = s4r.map_err(|e| note_interruption(obs, ctrl, 4, e))?;
         let seconds = obs.now().saturating_sub(t).as_secs_f64();
         obs.emit(Event::StageEnd { stage: 4, seconds, cells: s4r.cells });
@@ -710,7 +666,7 @@ impl Pipeline {
         // Stage 5: solve and concatenate.
         obs.emit(Event::StageBegin { stage: 5 });
         let t = obs.now();
-        let s5r = stage5::run_supervised(s0, s1, cfg, pool, &s4r.chain, obs, ctrl);
+        let s5r = stage5::run(s0, s1, cfg, pool, &s4r.chain, obs, ctrl);
         let s5r = s5r.map_err(|e| note_interruption(obs, ctrl, 5, e))?;
         let seconds = obs.now().saturating_sub(t).as_secs_f64();
         obs.emit(Event::StageEnd { stage: 5, seconds, cells: s5r.cells });
@@ -756,12 +712,12 @@ impl Pipeline {
 /// Record a stage failure's supervision footprint and convert it.
 ///
 /// Ordinary failures (and the legacy simulated-kill `Interrupted`) pass
-/// through untouched. Supervised interruptions — cancel, deadline, stall
-/// — additionally bump the `supervise.*` metrics, emit an
+/// through untouched. Supervised interruptions — cancel, deadline —
+/// additionally bump the `supervise.*` metrics, emit an
 /// [`Event::Interrupt`] record with the time-to-cancel latency, and
 /// surface the strip scheduler's parked [`gpu_sim::StripDiag`] snapshot
 /// (per-strip published/claimed counters) as an [`Event::StallDiag`]
-/// record, so a stalled run's trace shows *where* it was stuck.
+/// record, so an interrupted run's trace shows *where* it stopped.
 fn note_interruption(
     obs: &mut Obs<'_>,
     ctrl: &RunControl,
@@ -773,14 +729,8 @@ fn note_interruption(
         let diagonal = pe.resume_diagonal().unwrap_or(0);
         let latency_ms = ctrl.cancel_latency_ms();
         obs.metrics.inc("supervise.interrupts", 1);
-        obs.metrics.inc(
-            match kind {
-                "deadline" => "supervise.deadline",
-                "stalled" => "supervise.stalled",
-                _ => "supervise.cancelled",
-            },
-            1,
-        );
+        let counter = if kind == "deadline" { "supervise.deadline" } else { "supervise.cancelled" };
+        obs.metrics.inc(counter, 1);
         obs.metrics.set_gauge("supervise.cancel_latency_ms", latency_ms);
         obs.emit(Event::Interrupt { stage, kind, diagonal, latency_ms });
         if let Some(d) = ctrl.token().take_strip_diag() {
@@ -1326,7 +1276,7 @@ mod checkpoint_tests {
             let fp = cfg.job_fingerprint(a.len(), b.len());
             let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "special-row", fp).unwrap();
             let pool = WorkerPool::new(cfg.workers);
-            let _ = stage1::run_resumable(
+            let _ = stage1::run(
                 &a,
                 &b,
                 &cfg,
@@ -1334,6 +1284,8 @@ mod checkpoint_tests {
                 &mut rows,
                 None,
                 Some((dir.as_path(), 9)),
+                &mut Obs::new(),
+                &RunControl::unlimited(),
             );
             assert!(dir.join("stage1.ckpt").exists(), "snapshot persisted during the run");
             std::mem::forget(rows); // simulate the crash: files stay behind
@@ -1375,7 +1327,7 @@ mod checkpoint_tests {
             let fp = cfg.job_fingerprint(a.len(), b.len());
             let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "special-row", fp).unwrap();
             let pool = WorkerPool::new(cfg.workers);
-            let _ = stage1::run_resumable(
+            let _ = stage1::run(
                 &a,
                 &b,
                 &cfg,
@@ -1383,6 +1335,8 @@ mod checkpoint_tests {
                 &mut rows,
                 None,
                 Some((dir.as_path(), 9)),
+                &mut Obs::new(),
+                &RunControl::unlimited(),
             );
             std::mem::forget(rows); // simulate the crash
         }

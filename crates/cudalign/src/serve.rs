@@ -21,8 +21,8 @@
 //!   This orders jobs; it does not pack them: each job runs its own
 //!   pipeline alone, with no inter-task batching of striped lanes.
 //! - **Per-job supervision.** Every [`JobRequest`] carries its own
-//!   [`RunControl`] (cancel / deadline / stall watchdog — the PR 7
-//!   supervision layer verbatim); cancelling one job never perturbs
+//!   [`RunControl`] (cancel / deadline watchdog — the pipeline's own
+//!   supervision layer, unchanged); cancelling one job never perturbs
 //!   another. A job cancelled while still queued is resolved without
 //!   ever touching the pipeline.
 //! - **Fingerprint result cache.** Results are cached in an LRU keyed
@@ -110,7 +110,7 @@ pub struct JobRequest {
     pub s1: Vec<u8>,
     /// Priority class: higher drains first.
     pub priority: u8,
-    /// Per-job supervision handle (cancel / deadline / stall watchdog).
+    /// Per-job supervision handle (cancel / deadline watchdog).
     pub ctrl: RunControl,
 }
 
@@ -249,7 +249,7 @@ impl JobHandle {
         self.slot.fingerprint
     }
 
-    /// The job's supervision handle (deadline/stall state, latency).
+    /// The job's supervision handle (deadline state, latency).
     pub fn control(&self) -> &RunControl {
         &self.slot.ctrl
     }
@@ -306,7 +306,7 @@ pub struct ServeStats {
     pub completed: u64,
     /// Jobs served from the fingerprint result cache.
     pub cache_hits: u64,
-    /// Jobs ended by supervision (cancel / deadline / stall), whether
+    /// Jobs ended by supervision (cancel / deadline), whether
     /// queued or mid-run.
     pub cancelled: u64,
     /// Jobs that failed outright (storage, worker panic, internal).

@@ -13,7 +13,7 @@ use crate::pipeline::StageError;
 use crate::sra::{self, LineStore};
 use crate::storage;
 use crate::supervise::RunControl;
-use gpu_sim::wavefront::{self, RegionJob};
+use gpu_sim::wavefront::{self, RegionJob, RunOpts};
 use gpu_sim::{BlockCoords, CellHE, CellHF, Mode, TileOutcome, WorkerPool};
 use std::ops::ControlFlow;
 use sw_core::scoring::{Score, NEG_INF};
@@ -101,9 +101,9 @@ impl gpu_sim::WavefrontObserver for Stage1Observer<'_, '_> {
         _right: &[CellHE],
     ) -> ControlFlow<()> {
         // Simulated process kill (fault injection): abort the wavefront at
-        // the armed external diagonal. run_resumable turns the aborted
-        // result into a typed StageError::Interrupted — the torture tests
-        // then resume from the last checkpoint like a restarted process.
+        // the armed external diagonal. `run` turns the aborted result into
+        // a typed StageError::Interrupted — the torture tests then resume
+        // from the last checkpoint like a restarted process.
         if let Some(k) = storage::fault::stage1_kill() {
             if block.diagonal >= k {
                 return ControlFlow::Break(());
@@ -198,10 +198,7 @@ impl gpu_sim::WavefrontObserver for Stage1Observer<'_, '_> {
 /// special rows still being assembled (their segments span `B` external
 /// diagonals — the paper's Figure 5 — so a crash would otherwise lose
 /// them).
-pub fn encode_checkpoint(
-    state: &gpu_sim::wavefront::EngineState,
-    rows: &LineStore<CellHF>,
-) -> Vec<u8> {
+fn encode_checkpoint(state: &gpu_sim::wavefront::EngineState, rows: &LineStore<CellHF>) -> Vec<u8> {
     let engine = state.encode();
     let partials = rows.encode_partials();
     let mut out = Vec::with_capacity(12 + engine.len() + partials.len());
@@ -213,7 +210,7 @@ pub fn encode_checkpoint(
 }
 
 /// Parse a combined checkpoint back into `(engine state, partial bytes)`.
-pub fn decode_checkpoint(bytes: &[u8]) -> Option<(gpu_sim::wavefront::EngineState, Vec<u8>)> {
+fn decode_checkpoint(bytes: &[u8]) -> Option<(gpu_sim::wavefront::EngineState, Vec<u8>)> {
     let rest = bytes.strip_prefix(b"CKS1")?;
     let (len_bytes, rest) = rest.split_at_checked(8)?;
     let engine_len = u64::from_le_bytes(len_bytes.try_into().ok()?) as usize;
@@ -235,19 +232,9 @@ pub fn load_checkpoint(
     decode_checkpoint(&bytes)
 }
 
-/// Run Stage 1 on the shared worker pool.
-pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    rows: &mut LineStore<CellHF>,
-) -> Result<Stage1Result, StageError> {
-    run_resumable(s0, s1, cfg, pool, rows, None, None)
-}
-
-/// Run Stage 1 with checkpoint/resume support (the crash-resilience an
-/// 18-hour forward pass needs).
+/// Run Stage 1 on the shared worker pool, with checkpoint/resume support
+/// (the crash-resilience an 18-hour forward pass needs) under a
+/// supervision policy.
 ///
 /// * `resume` — an [`gpu_sim::wavefront::EngineState`] captured by a previous run; the
 ///   wavefront continues from its diagonal. Special rows completed before
@@ -258,45 +245,17 @@ pub fn run(
 /// * `checkpoint` — `(directory, cadence in external diagonals)`;
 ///   combined snapshots (engine state + in-flight rows) land in
 ///   `<dir>/stage1.ckpt` atomically.
-pub fn run_resumable(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    rows: &mut LineStore<CellHF>,
-    resume: Option<gpu_sim::wavefront::EngineState>,
-    checkpoint: Option<(&std::path::Path, usize)>,
-) -> Result<Stage1Result, StageError> {
-    run_observed(s0, s1, cfg, pool, rows, resume, checkpoint, &mut Obs::new())
-}
-
-/// [`run_resumable`] with an observability handle: per-external-diagonal
-/// [`Event::Diagonal`] ticks, [`Event::Checkpoint`] outcomes and
-/// [`Event::StorageFlush`] records for completed special rows are emitted
-/// through `obs` from the caller thread (never from pool workers).
+/// * `obs` — per-external-diagonal [`Event::Diagonal`] ticks,
+///   [`Event::Checkpoint`] outcomes and [`Event::StorageFlush`] records
+///   for completed special rows, emitted from the caller thread (never
+///   from pool workers).
+/// * `ctrl` — its cancel token is threaded into the wavefront engine and
+///   its cancel-after-diagonal trigger fires from the observer. An
+///   interrupted run surfaces as the typed [`StageError`] for the winning
+///   cancel cause, with a boundary checkpoint flushed first when
+///   checkpointing is on, so the cancellation is always resumable.
 #[allow(clippy::too_many_arguments)]
-pub fn run_observed(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    rows: &mut LineStore<CellHF>,
-    resume: Option<gpu_sim::wavefront::EngineState>,
-    checkpoint: Option<(&std::path::Path, usize)>,
-    obs: &mut Obs<'_>,
-) -> Result<Stage1Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, rows, resume, checkpoint, obs, &RunControl::unlimited())
-}
-
-/// [`run_observed`] under a supervision policy: the control's cancel
-/// token is threaded into the wavefront engine (both schedulers poll it
-/// and beat its heartbeat), the cancel-after-diagonal trigger fires from
-/// the observer, and an interrupted run surfaces as the typed
-/// [`StageError`] for the winning cancel cause — with a boundary
-/// checkpoint flushed first when checkpointing is on, so the
-/// cancellation is always resumable.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised(
+pub fn run(
     s0: &[u8],
     s1: &[u8],
     cfg: &PipelineConfig,
@@ -350,20 +309,14 @@ pub fn run_supervised(
         last_diagonal: None,
         inflight: std::collections::BTreeSet::new(),
     };
-    let res = wavefront::run_supervised(
-        pool,
-        &job,
-        &mut observer,
-        resume,
-        checkpoint_every,
-        Some(ctrl.token()),
-    )?;
+    let opts = RunOpts { resume, checkpoint_every, plan: None, token: Some(ctrl.token()) };
+    let res = wavefront::run(pool, &job, &mut observer, opts)?;
     let checkpoint_failures = observer.ckpt_failures;
 
     if res.aborted {
         // The wavefront stopped early: either the cancel token fired
-        // (request / deadline / stall — the engine flushed a boundary
-        // checkpoint first) or the observer broke out (a simulated kill).
+        // (request / deadline — the engine flushed a boundary checkpoint
+        // first) or the observer broke out (a simulated kill).
         // The partial best score MUST NOT leak out as a result — that
         // would be a silently wrong alignment. Surface the typed error
         // for the winning cause; with checkpointing on, the caller
@@ -398,7 +351,7 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SraBackend;
+    use crate::fixtures::stage1;
     use sw_core::full::sw_local_score;
     use sw_core::linear::RowDp;
     use sw_core::transcript::EdgeState;
@@ -427,9 +380,7 @@ mod tests {
     fn finds_reference_best_and_flushes_rows() {
         let (a, b) = related(1, 200);
         let cfg = PipelineConfig::for_tests();
-        let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let (res, rows) = stage1(&a, &b, &cfg, &WorkerPool::new(cfg.workers));
         let (score, end) = sw_local_score(&a, &b, &cfg.scoring);
         assert_eq!(res.best_score, score);
         assert_eq!(res.end, end);
@@ -449,9 +400,7 @@ mod tests {
     fn special_rows_match_reference_dp() {
         let (a, b) = related(2, 96);
         let cfg = PipelineConfig::for_tests();
-        let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let (_, rows) = stage1(&a, &b, &cfg, &WorkerPool::new(cfg.workers));
 
         // Local-mode reference via a clamped row DP.
         let sc = Scoring::paper();
@@ -487,9 +436,7 @@ mod tests {
         let (a, b) = related(3, 120);
         let mut cfg = PipelineConfig::for_tests();
         cfg.sra_bytes = 0;
-        let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, 0, "row", 7).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let (res, _) = stage1(&a, &b, &cfg, &WorkerPool::new(cfg.workers));
         assert!(res.special_rows.is_empty());
         assert_eq!(res.flushed_bytes, 0);
         // Best score is unaffected.
@@ -502,9 +449,7 @@ mod tests {
         let a = lcg(10, 150);
         let b = lcg(99, 150);
         let cfg = PipelineConfig::for_tests();
-        let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let (res, _) = stage1(&a, &b, &cfg, &WorkerPool::new(cfg.workers));
         let (score, _) = sw_local_score(&a, &b, &cfg.scoring);
         assert_eq!(res.best_score, score);
         assert!(res.best_score < 30, "random sequences should align weakly");
@@ -545,13 +490,34 @@ mod resume_tests {
         // Uninterrupted reference.
         let pool = WorkerPool::new(cfg.workers);
         let mut rows_ref = LineStore::new(&cfg.backend, cfg.sra_bytes, "ref-row", 7).unwrap();
-        let full = run(&a, &b, &cfg, &pool, &mut rows_ref).unwrap();
+        let full = run(
+            &a,
+            &b,
+            &cfg,
+            &pool,
+            &mut rows_ref,
+            None,
+            None,
+            &mut Obs::new(),
+            &RunControl::unlimited(),
+        )
+        .unwrap();
 
         // First run: let the observer write combined checkpoints to disk,
         // pretend to die after it finishes (discard the in-memory store).
         {
             let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "row", 7).unwrap();
-            let _ = run_resumable(&a, &b, &cfg, &pool, &mut rows, None, Some((dir.as_path(), 7)));
+            let _ = run(
+                &a,
+                &b,
+                &cfg,
+                &pool,
+                &mut rows,
+                None,
+                Some((dir.as_path(), 7)),
+                &mut Obs::new(),
+                &RunControl::unlimited(),
+            );
             // `rows` dropped here would delete its files — simulate a hard
             // crash instead by forgetting it.
             std::mem::forget(rows);
@@ -564,7 +530,18 @@ mod resume_tests {
         let mut rows = LineStore::<CellHF>::reopen(&cfg.backend, cfg.sra_bytes, "row", 7).unwrap();
         assert!(rows.restore_partials(&partials), "partials restore");
         let survived_before = rows.len();
-        let resumed = run_resumable(&a, &b, &cfg, &pool, &mut rows, Some(snap), None).unwrap();
+        let resumed = run(
+            &a,
+            &b,
+            &cfg,
+            &pool,
+            &mut rows,
+            Some(snap),
+            None,
+            &mut Obs::new(),
+            &RunControl::unlimited(),
+        )
+        .unwrap();
         assert_eq!(resumed.best_score, full.best_score);
         assert_eq!(resumed.end, full.end);
         assert!(rows.len() >= survived_before, "resume must not lose reopened rows");
@@ -584,6 +561,8 @@ mod resume_tests {
             resumed.end,
             &mut rows,
             &mut cols,
+            &mut Obs::new(),
+            &RunControl::unlimited(),
         )
         .unwrap();
         assert_eq!(s2r.chain.points().last().unwrap().score, full.best_score);
@@ -620,14 +599,35 @@ mod stale_checkpoint_tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let _ = run_resumable(&a, &b, &cfg, &pool, &mut rows, None, Some((dir.as_path(), 5)));
+        let _ = run(
+            &a,
+            &b,
+            &cfg,
+            &pool,
+            &mut rows,
+            None,
+            Some((dir.as_path(), 5)),
+            &mut Obs::new(),
+            &RunControl::unlimited(),
+        );
         let (snap, _) = load_checkpoint(&dir, 7).unwrap();
 
         // Same lengths and grid, different scoring: must run fresh.
         let mut cfg2 = PipelineConfig::for_tests();
         cfg2.scoring = sw_core::Scoring::new(2, -1, 4, 1);
         let mut rows2 = LineStore::new(&SraBackend::Memory, cfg2.sra_bytes, "row", 7).unwrap();
-        let res = run_resumable(&a, &b, &cfg2, &pool, &mut rows2, Some(snap), None).unwrap();
+        let res = run(
+            &a,
+            &b,
+            &cfg2,
+            &pool,
+            &mut rows2,
+            Some(snap),
+            None,
+            &mut Obs::new(),
+            &RunControl::unlimited(),
+        )
+        .unwrap();
         assert_eq!(res.resumed_from_diagonal, 0, "stale snapshot must be ignored");
         let (ref_score, ref_end) = sw_core::full::sw_local_score(&a, &b, &cfg2.scoring);
         assert_eq!(res.best_score, ref_score);

@@ -26,7 +26,7 @@ use crate::obs::{Event, Obs};
 use crate::pipeline::StageError;
 use crate::sra::{self, LineStore};
 use crate::supervise::RunControl;
-use gpu_sim::wavefront::{self, RegionJob};
+use gpu_sim::wavefront::{self, RegionJob, RunOpts};
 use gpu_sim::{BlockCoords, CellHE, CellHF, GlobalOrigin, Mode, TileOutcome, WorkerPool};
 use std::ops::ControlFlow;
 use sw_core::scoring::{Score, Scoring};
@@ -188,45 +188,15 @@ impl gpu_sim::WavefrontObserver for StripObserver<'_> {
 /// Run Stage 2.
 ///
 /// `best_score`/`end` come from Stage 1; `rows` is the populated SRA;
-/// `cols` receives the special columns for Stage 3.
+/// `cols` receives the special columns for Stage 3. `obs` receives
+/// per-strip [`Event::Strip`] records, [`Event::StorageFlush`] for each
+/// special column kept for Stage 3, and [`Event::StorageDrop`] for
+/// corrupt special rows rejected on read-back — all emitted from the
+/// caller thread. `ctrl`'s token is checked at every strip boundary and
+/// polled by the engine inside each strip, so a cancelled/expired run
+/// unwinds with a typed error instead of finishing the strip or the pass.
 #[allow(clippy::too_many_arguments)]
 pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    best_score: Score,
-    end: (usize, usize),
-    rows: &mut LineStore<CellHF>,
-    cols: &mut LineStore<CellHE>,
-) -> Result<Stage2Result, StageError> {
-    run_traced(s0, s1, cfg, pool, best_score, end, rows, cols, &mut Obs::new())
-}
-
-/// [`run`] with an observability handle: per-strip [`Event::Strip`]
-/// records, [`Event::StorageFlush`] for each special column kept for
-/// Stage 3, and [`Event::StorageDrop`] for corrupt special rows rejected
-/// on read-back — all emitted from the caller thread.
-#[allow(clippy::too_many_arguments)]
-pub fn run_traced(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    best_score: Score,
-    end: (usize, usize),
-    rows: &mut LineStore<CellHF>,
-    cols: &mut LineStore<CellHE>,
-    obs: &mut Obs<'_>,
-) -> Result<Stage2Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, best_score, end, rows, cols, obs, &RunControl::unlimited())
-}
-
-/// [`run_traced`] under a [`RunControl`]: the token is checked at every
-/// strip boundary, so a cancelled/expired run unwinds with a typed error
-/// before starting the next strip instead of finishing the pass.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised(
     s0: &[u8],
     s1: &[u8],
     cfg: &PipelineConfig,
@@ -357,7 +327,12 @@ pub fn run_supervised(
             workers: cfg.workers,
             watch: Some(cur.score),
         };
-        let res = wavefront::run_pooled(pool, &job, &mut strip_obs)?;
+        let opts = RunOpts { token: Some(ctrl.token()), ..Default::default() };
+        let res = wavefront::run(pool, &job, &mut strip_obs, opts)?;
+        if res.aborted {
+            // A cancelled launch stops mid-strip without finding its goal.
+            ctrl.check(0)?;
+        }
         total_cells += res.cells;
         paths.add(&res.paths);
         profile_hits += res.profile_hits;
@@ -437,7 +412,7 @@ pub fn run_supervised(
 mod tests {
     use super::*;
     use crate::config::SraBackend;
-    use crate::stage1;
+    use crate::fixtures::{stage1, stages_1_2};
     use sw_core::full::sw_local_aligned;
 
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
@@ -465,12 +440,7 @@ mod tests {
 
     fn run_stage12(a: &[u8], b: &[u8]) -> (Stage2Result, Score) {
         let cfg = PipelineConfig::for_tests();
-        let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(a, b, &cfg, &pool, &mut rows).unwrap();
-        assert!(s1r.best_score > 0);
-        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = run(a, b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
+        let (s1r, s2r, _) = stages_1_2(a, b, &cfg, &WorkerPool::new(cfg.workers));
         (s2r, s1r.best_score)
     }
 
@@ -544,13 +514,14 @@ mod tests {
         let b = lcg(99, 180);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let (s1r, mut rows) = stage1(&a, &b, &cfg, &pool);
         if s1r.best_score == 0 {
             return; // nothing to trace
         }
         let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
+        let (best, end, ctrl) = (s1r.best_score, s1r.end, RunControl::unlimited());
+        let s2r = run(&a, &b, &cfg, &pool, best, end, &mut rows, &mut cols, &mut Obs::new(), &ctrl);
+        let s2r = s2r.unwrap();
         let start = s2r.chain.points()[0];
         let end = *s2r.chain.points().last().unwrap();
         assert!(end.i - start.i <= 64, "short alignment expected");
@@ -563,11 +534,7 @@ mod tests {
         let (a, b) = related(5, 150);
         let mut cfg = PipelineConfig::for_tests();
         cfg.sra_bytes = 0;
-        let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, 0, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
-        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
+        let (_, s2r, _) = stages_1_2(&a, &b, &cfg, &WorkerPool::new(cfg.workers));
         assert_eq!(s2r.chain.len(), 2, "only start and end points");
         assert_eq!(s2r.strips, 1);
     }
@@ -576,8 +543,7 @@ mod tests {
 #[cfg(test)]
 mod orthogonal_tests {
     use super::*;
-    use crate::config::SraBackend;
-    use crate::stage1;
+    use crate::fixtures::stages_1_2;
 
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
         let mut x = seed | 1;
@@ -601,10 +567,7 @@ mod orthogonal_tests {
         }
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
-        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
+        let (_, s2r, _) = stages_1_2(&a, &b, &cfg, &pool);
         let matrix = (a.len() * b.len()) as u64;
         assert!(
             s2r.cells * 3 < matrix,
@@ -614,22 +577,7 @@ mod orthogonal_tests {
         // And the area shrinks when more special rows are available.
         let mut cfg_small = PipelineConfig::for_tests();
         cfg_small.sra_bytes = 8 * (b.len() as u64 + 1) * 2; // two rows only
-        let mut rows_small =
-            LineStore::new(&SraBackend::Memory, cfg_small.sra_bytes, "row", 7).unwrap();
-        let s1_small = stage1::run(&a, &b, &cfg_small, &pool, &mut rows_small).unwrap();
-        let mut cols_small =
-            LineStore::new(&SraBackend::Memory, cfg_small.sca_bytes, "col", 7).unwrap();
-        let s2_small = run(
-            &a,
-            &b,
-            &cfg_small,
-            &pool,
-            s1_small.best_score,
-            s1_small.end,
-            &mut rows_small,
-            &mut cols_small,
-        )
-        .unwrap();
+        let (_, s2_small, _) = stages_1_2(&a, &b, &cfg_small, &pool);
         assert!(
             s2_small.cells >= s2r.cells,
             "fewer special rows must not shrink the processed area ({} vs {})",

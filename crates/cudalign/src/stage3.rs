@@ -20,7 +20,7 @@ use crate::pipeline::StageError;
 use crate::sra::LineStore;
 use crate::stage2::gap_run_from;
 use crate::supervise::RunControl;
-use gpu_sim::wavefront::{self, RegionJob};
+use gpu_sim::wavefront::{self, RegionJob, RunOpts};
 use gpu_sim::{BlockCoords, CellHE, CellHF, GlobalOrigin, Mode, TileOutcome, WorkerPool};
 use std::ops::ControlFlow;
 use sw_core::scoring::Score;
@@ -117,6 +117,7 @@ fn refine_partition(
     skipped: &mut u64,
     paths: &mut gpu_sim::kernel::PathCounts,
     profile: &mut (u64, u64),
+    ctrl: &RunControl,
 ) -> Result<(Vec<Crosspoint>, u64), StageError> {
     let sc = cfg.scoring;
     let gopen = sc.gap_open();
@@ -125,7 +126,6 @@ fn refine_partition(
     let mut cur = p.start;
     let mut cells = 0u64;
 
-    // lint: allow(cancel-coverage): bounded by the partition's stored special columns; the driver polls cancellation between partitions
     for c in inside {
         debug_assert!(cur.j < c && c < p.end.j);
         // A column whose stored line fails validation (or vanished) is
@@ -177,7 +177,12 @@ fn refine_partition(
             workers: cfg.workers,
             watch: None,
         };
-        let res = wavefront::run_pooled(pool, &job, &mut obs)?;
+        let opts = RunOpts { token: Some(ctrl.token()), ..Default::default() };
+        let res = wavefront::run(pool, &job, &mut obs, opts)?;
+        if res.aborted {
+            // A cancelled launch stops mid-band without finding its goal.
+            ctrl.check(0)?;
+        }
         cells += res.cells;
         paths.add(&res.paths);
         profile.0 += res.profile_hits;
@@ -209,40 +214,16 @@ fn refine_partition(
 /// partitions themselves run concurrently, each on a **single-block**
 /// grid — the paper's future-work variant, for which the minimum size
 /// requirement vanishes (one block cannot race itself on the buses).
-pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    cols: &LineStore<CellHE>,
-) -> Result<Stage3Result, StageError> {
-    run_traced(s0, s1, cfg, pool, chain, cols, &mut Obs::new())
-}
-
-/// [`run`] with an observability handle: announces the partition count
-/// and each partition's shape ([`Event::Partitions`], [`Event::Partition`])
-/// before solving starts. Events are emitted upfront from the caller
-/// thread, so the parallel-partitions mode traces identically to the
-/// sequential one.
-pub fn run_traced(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    cols: &LineStore<CellHE>,
-    obs: &mut Obs<'_>,
-) -> Result<Stage3Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, chain, cols, obs, &RunControl::unlimited())
-}
-
-/// [`run_traced`] under a [`RunControl`]: the token is checked before
-/// each partition is solved (in both the sequential and parallel modes),
-/// so a cancelled/expired run unwinds with a typed error instead of
-/// refining every remaining partition.
+///
+/// `obs` gets the partition count and each partition's shape
+/// ([`Event::Partitions`], [`Event::Partition`]) before solving starts,
+/// emitted upfront from the caller thread, so the parallel-partitions
+/// mode traces identically to the sequential one. `ctrl`'s token is
+/// checked before each partition is solved (in both modes) and polled by
+/// the engine inside each band, so a cancelled/expired run unwinds with
+/// a typed error instead of refining every remaining partition.
 #[allow(clippy::too_many_arguments)]
-pub fn run_supervised(
+pub fn run(
     s0: &[u8],
     s1: &[u8],
     cfg: &PipelineConfig,
@@ -296,6 +277,7 @@ pub fn run_supervised(
             &mut skipped,
             &mut paths,
             &mut profile,
+            ctrl,
         )?;
         Ok((pts, cells, vram, min_blocks, skipped, paths, profile))
     };
@@ -373,8 +355,7 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SraBackend;
-    use crate::{stage1, stage2};
+    use crate::fixtures::stages_1_2;
     use sw_core::full::nw_global_typed;
     use sw_core::Scoring;
 
@@ -405,13 +386,9 @@ mod tests {
     fn run_stages(a: &[u8], b: &[u8]) -> (CrosspointChain, Stage3Result) {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(a, b, &cfg, &pool, &mut rows).unwrap();
-        assert!(s1r.best_score > 0);
-        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r =
-            stage2::run(a, b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
-        let s3r = run(a, b, &cfg, &pool, &s2r.chain, &cols).unwrap();
+        let (_, s2r, cols) = stages_1_2(a, b, &cfg, &pool);
+        let ctrl = RunControl::unlimited();
+        let s3r = run(a, b, &cfg, &pool, &s2r.chain, &cols, &mut Obs::new(), &ctrl).unwrap();
         (s2r.chain, s3r)
     }
 
@@ -448,14 +425,12 @@ mod tests {
     #[test]
     fn no_columns_means_chain_unchanged() {
         let (a, b) = related(4, 120);
-        let cfg = PipelineConfig::for_tests();
+        let mut cfg = PipelineConfig::for_tests();
+        cfg.sca_bytes = 0;
         let pool = WorkerPool::new(cfg.workers);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
-        let mut cols = LineStore::new(&SraBackend::Memory, 0, "col", 7).unwrap();
-        let s2r = stage2::run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols)
-            .unwrap();
-        let s3r = run(&a, &b, &cfg, &pool, &s2r.chain, &cols).unwrap();
+        let (_, s2r, cols) = stages_1_2(&a, &b, &cfg, &pool);
+        let ctrl = RunControl::unlimited();
+        let s3r = run(&a, &b, &cfg, &pool, &s2r.chain, &cols, &mut Obs::new(), &ctrl).unwrap();
         assert_eq!(s3r.chain.points(), s2r.chain.points());
         assert_eq!(s3r.cells, 0);
     }
@@ -464,8 +439,7 @@ mod tests {
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
-    use crate::config::SraBackend;
-    use crate::{stage1, stage2};
+    use crate::fixtures::stages_1_2;
 
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
         let mut x = seed | 1;
@@ -488,17 +462,14 @@ mod parallel_tests {
         }
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(4);
-        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
-        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = stage2::run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols)
-            .unwrap();
+        let (_, s2r, cols) = stages_1_2(&a, &b, &cfg, &pool);
 
-        let seq = run(&a, &b, &cfg, &pool, &s2r.chain, &cols).unwrap();
+        let ctrl = RunControl::unlimited();
+        let seq = run(&a, &b, &cfg, &pool, &s2r.chain, &cols, &mut Obs::new(), &ctrl).unwrap();
         let mut par_cfg = cfg.clone();
         par_cfg.parallel_partitions = true;
         par_cfg.workers = 4;
-        let par = run(&a, &b, &par_cfg, &pool, &s2r.chain, &cols).unwrap();
+        let par = run(&a, &b, &par_cfg, &pool, &s2r.chain, &cols, &mut Obs::new(), &ctrl).unwrap();
         assert_eq!(par.chain.points(), seq.chain.points());
         // Cell counts may differ: a single-block band aborts at a coarser
         // granularity than a multi-block one. Same order of magnitude.

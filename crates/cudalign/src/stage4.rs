@@ -174,35 +174,13 @@ fn split_partition(
 /// Oversized partitions of one iteration are independent, so each
 /// iteration fans them out on the shared `pool` (one scope per iteration;
 /// results land in pre-chunked slots and are merged in partition order, so
-/// the outcome is independent of the pool width).
+/// the outcome is independent of the pool width). Each refinement
+/// iteration emits an [`Event::Iteration`] record through `obs`, with
+/// seconds from the injected clock instead of direct wall-clock reads.
+/// `ctrl`'s token is checked at every refinement round, so a
+/// cancelled/expired run unwinds with a typed error instead of splitting
+/// every remaining oversized partition.
 pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-) -> Result<Stage4Result, StageError> {
-    run_traced(s0, s1, cfg, pool, chain, &mut Obs::new())
-}
-
-/// [`run`] with an observability handle: each refinement iteration emits
-/// an [`Event::Iteration`] record, and per-iteration seconds come from
-/// the injected clock instead of direct wall-clock reads.
-pub fn run_traced(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    obs: &mut Obs<'_>,
-) -> Result<Stage4Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, chain, obs, &RunControl::unlimited())
-}
-
-/// [`run_traced`] under a [`RunControl`]: the token is checked at every
-/// refinement round, so a cancelled/expired run unwinds with a typed
-/// error instead of splitting every remaining oversized partition.
-pub fn run_supervised(
     s0: &[u8],
     s1: &[u8],
     cfg: &PipelineConfig,
@@ -375,7 +353,8 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = whole_chain(&a, &b);
-        let res = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let res =
+            run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         check_final_chain(&a, &b, &cfg, &res);
         assert!(res.iterations.len() >= 4, "500bp / 16 needs >= 5 halvings");
         // Crosspoint counts grow monotonically.
@@ -391,9 +370,11 @@ mod tests {
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         cfg.orthogonal_stage4 = true;
-        let res_o = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let res_o =
+            run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         cfg.orthogonal_stage4 = false;
-        let res_c = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let res_c =
+            run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         check_final_chain(&a, &b, &cfg, &res_o);
         check_final_chain(&a, &b, &cfg, &res_c);
         // The orthogonal sweep processes fewer cells.
@@ -412,9 +393,13 @@ mod tests {
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         cfg.balanced_split = true;
-        let res_b = run(&a, &wide_b, &cfg, &pool, &chain).unwrap();
+        let res_b =
+            run(&a, &wide_b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited())
+                .unwrap();
         cfg.balanced_split = false;
-        let res_u = run(&a, &wide_b, &cfg, &pool, &chain).unwrap();
+        let res_u =
+            run(&a, &wide_b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited())
+                .unwrap();
         check_final_chain(&a, &wide_b, &cfg, &res_u);
         assert!(
             res_b.iterations.len() <= res_u.iterations.len(),
@@ -430,7 +415,8 @@ mod tests {
         let chain = whole_chain(&a, &a);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
-        let res = run(&a, &a, &cfg, &pool, &chain).unwrap();
+        let res =
+            run(&a, &a, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         assert_eq!(res.chain.points(), chain.points());
         assert_eq!(res.cells, 0);
         assert_eq!(res.iterations.len(), 1);
@@ -446,7 +432,8 @@ mod tests {
         let chain = whole_chain(&a, &b);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
-        let res = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let res =
+            run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         check_final_chain(&a, &b, &cfg, &res);
         let has_gap_point = res.chain.points().iter().any(|p| p.edge != EdgeState::Diagonal);
         assert!(has_gap_point, "expected gap-typed crosspoints across the deleted block");
@@ -459,9 +446,11 @@ mod tests {
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(4);
         cfg.workers = 1;
-        let r1 = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let r1 =
+            run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         cfg.workers = 4;
-        let r4 = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let r4 =
+            run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         assert_eq!(r1.chain.points(), r4.chain.points());
     }
 }

@@ -28,35 +28,12 @@ pub struct Stage5Result {
 }
 
 /// Run Stage 5. Partitions are solved concurrently on the shared `pool`
-/// and the transcripts concatenated in partition order.
+/// and the transcripts concatenated in partition order; `obs` gets the
+/// number of partitions about to be solved ([`Event::Partitions`]).
+/// `ctrl`'s token is checked on entry and again before the per-partition
+/// transcripts are merged, so a cancelled/expired run unwinds with a
+/// typed error instead of stitching a final alignment.
 pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-) -> Result<Stage5Result, StageError> {
-    run_traced(s0, s1, cfg, pool, chain, &mut Obs::new())
-}
-
-/// [`run`] with an observability handle: announces the number of
-/// partitions about to be solved ([`Event::Partitions`]).
-pub fn run_traced(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    obs: &mut Obs<'_>,
-) -> Result<Stage5Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, chain, obs, &RunControl::unlimited())
-}
-
-/// [`run_traced`] under a [`RunControl`]: the token is checked on entry
-/// and again before the per-partition transcripts are merged, so a
-/// cancelled/expired run unwinds with a typed error instead of stitching
-/// a final alignment.
-pub fn run_supervised(
     s0: &[u8],
     s1: &[u8],
     cfg: &PipelineConfig,
@@ -179,8 +156,11 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);
-        let l4 = stage4::run(&a, &b, &cfg, &pool, &chain).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &l4.chain).unwrap();
+        let l4 =
+            stage4::run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited())
+                .unwrap();
+        let res =
+            run(&a, &b, &cfg, &pool, &l4.chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         res.transcript.validate(&a, &b).unwrap();
         let expected = chain.points().last().unwrap().score;
         assert_eq!(res.transcript.score(&a, &b, &Scoring::paper()), expected);
@@ -195,8 +175,11 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);
-        let l4 = stage4::run(&a, &b, &cfg, &pool, &chain).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &l4.chain).unwrap();
+        let l4 =
+            stage4::run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited())
+                .unwrap();
+        let res =
+            run(&a, &b, &cfg, &pool, &l4.chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         let bytes = res.binary.encode();
         let back = BinaryAlignment::decode(&bytes).unwrap();
         assert_eq!(back, res.binary);
@@ -211,14 +194,17 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);
-        let l4 = stage4::run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let l4 =
+            stage4::run(&a, &b, &cfg, &pool, &chain, &mut Obs::new(), &RunControl::unlimited())
+                .unwrap();
         for p in l4.chain.partitions() {
             assert!(
                 (p.height() <= 16 && p.width() <= 16) || p.height() == 0 || p.width() == 0,
                 "oversized partition"
             );
         }
-        let res = run(&a, &b, &cfg, &pool, &l4.chain).unwrap();
+        let res =
+            run(&a, &b, &cfg, &pool, &l4.chain, &mut Obs::new(), &RunControl::unlimited()).unwrap();
         // Total stage-5 work is linear in the alignment length.
         assert!(res.cells <= 17 * 17 * l4.chain.len() as u64);
     }

@@ -1,14 +1,13 @@
-//! Run supervision: cooperative cancellation, deadlines and the stall
-//! watchdog for the six-stage pipeline (DESIGN.md §12).
+//! Run supervision: cooperative cancellation and deadlines for the
+//! six-stage pipeline (DESIGN.md §12).
 //!
 //! A [`RunControl`] is the per-run supervision policy: one clonable
 //! handle bundling a [`CancelToken`] with an optional wall-clock
-//! deadline, an optional stall budget, and an optional
-//! cancel-after-diagonal trigger (the CLI's `--cancel-after-diag`).
-//! The pipeline threads the token through every stage and the wavefront
-//! engine; the deadline and stall budget are enforced by a single
-//! watchdog thread ([`gpu_sim::exec::spawn_watchdog`]) that observes the
-//! token's heartbeat — hot paths never read a clock.
+//! deadline and an optional cancel-after-diagonal trigger (the CLI's
+//! `--cancel-after-diag`). The pipeline threads the token through every
+//! stage and the wavefront engine; the deadline is enforced by a single
+//! watchdog thread ([`gpu_sim::exec::spawn_watchdog`]) — hot paths never
+//! read a clock.
 //!
 //! Time flows through an injectable [`TimeSource`] so tests drive
 //! supervision with [`crate::obs::SharedClock`] instead of real wall
@@ -16,7 +15,7 @@
 //!
 //! An interruption always surfaces as a typed
 //! [`StageError`]/[`crate::pipeline::PipelineError`] variant
-//! (`Cancelled`, `DeadlineExceeded`, `Stalled`) — never a partial score
+//! (`Cancelled`, `DeadlineExceeded`) — never a partial score
 //! — and, when stage-1 checkpointing is on, the engine flushes a
 //! boundary snapshot before unwinding so cancellation is always
 //! resumable.
@@ -28,8 +27,8 @@ use gpu_sim::{CancelCause, CancelToken};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How often the watchdog thread samples the clock and heartbeat. Far
-/// below any sensible budget, far above scheduler noise.
+/// How often the watchdog thread samples the clock. Far below any
+/// sensible deadline, far above scheduler noise.
 const DEFAULT_POLL: Duration = Duration::from_millis(2);
 
 /// A wall-clock time source for production controls ([`WallClock`] is
@@ -40,8 +39,7 @@ fn wall_time_source() -> TimeSource {
 }
 
 /// Per-run supervision policy: cancel token, optional deadline, optional
-/// stall budget, optional cancel-after-diagonal trigger, and the time
-/// source the watchdog reads.
+/// cancel-after-diagonal trigger, and the time source the watchdog reads.
 ///
 /// Cheap to clone (the token is one `Arc`, the time source another); all
 /// clones control the same run. [`RunControl::unlimited`] is the silent
@@ -50,7 +48,6 @@ fn wall_time_source() -> TimeSource {
 pub struct RunControl {
     token: CancelToken,
     deadline: Option<Duration>,
-    stall_budget: Option<Duration>,
     poll: Duration,
     cancel_after_diagonal: Option<usize>,
     time: TimeSource,
@@ -67,20 +64,18 @@ impl std::fmt::Debug for RunControl {
         f.debug_struct("RunControl")
             .field("token", &self.token)
             .field("deadline", &self.deadline)
-            .field("stall_budget", &self.stall_budget)
             .field("cancel_after_diagonal", &self.cancel_after_diagonal)
             .finish_non_exhaustive()
     }
 }
 
 impl RunControl {
-    /// No deadline, no stall budget, no trigger — cancellable only via
+    /// No deadline, no trigger — cancellable only via
     /// [`RunControl::cancel`] on a clone.
     pub fn unlimited() -> Self {
         RunControl {
             token: CancelToken::new(),
             deadline: None,
-            stall_budget: None,
             poll: DEFAULT_POLL,
             cancel_after_diagonal: None,
             time: wall_time_source(),
@@ -90,13 +85,6 @@ impl RunControl {
     /// Abort the run once `ms` milliseconds elapse on the time source.
     pub fn with_deadline_ms(mut self, ms: u64) -> Self {
         self.deadline = Some(Duration::from_millis(ms));
-        self
-    }
-
-    /// Abort the run when the heartbeat (blocks computed, rows published)
-    /// stops moving for `ms` milliseconds.
-    pub fn with_stall_budget_ms(mut self, ms: u64) -> Self {
-        self.stall_budget = Some(Duration::from_millis(ms));
         self
     }
 
@@ -141,11 +129,6 @@ impl RunControl {
         self.deadline
     }
 
-    /// The configured stall budget, if any.
-    pub fn stall_budget(&self) -> Option<Duration> {
-        self.stall_budget
-    }
-
     /// Request cancellation, stamping the time source for latency
     /// accounting. Returns `false` when the run was already cancelled.
     pub fn cancel(&self) -> bool {
@@ -175,20 +158,12 @@ impl RunControl {
         }
     }
 
-    /// Start the deadline/stall watchdog thread, or `None` when neither
-    /// budget is configured. Hold the returned guard for the run's
-    /// duration; dropping it stops and joins the thread.
+    /// Start the deadline watchdog thread, or `None` when no deadline is
+    /// configured. Hold the returned guard for the run's duration;
+    /// dropping it stops and joins the thread.
     pub fn spawn_watchdog(&self) -> Option<Watchdog> {
-        if self.deadline.is_none() && self.stall_budget.is_none() {
-            return None;
-        }
-        Some(spawn_watchdog(
-            self.token.clone(),
-            Arc::clone(&self.time),
-            self.deadline,
-            self.stall_budget,
-            self.poll,
-        ))
+        let deadline = self.deadline?;
+        Some(spawn_watchdog(self.token.clone(), Arc::clone(&self.time), deadline, self.poll))
     }
 
     /// Cooperative cancellation point: `Ok(())` while the run may
@@ -204,7 +179,6 @@ impl RunControl {
             Some(CancelCause::DeadlineExceeded { budget_ms }) => {
                 StageError::DeadlineExceeded { diagonal, budget_ms }
             }
-            Some(CancelCause::Stalled { budget_ms }) => StageError::Stalled { diagonal, budget_ms },
             // `Requested`, a future cause, or (unreachable in practice) a
             // flag set without a recorded cause: plain cancellation.
             _ => StageError::Cancelled { diagonal },
@@ -254,12 +228,6 @@ mod tests {
             }
         }
         assert_eq!(ctrl.check(3), Err(StageError::DeadlineExceeded { diagonal: 3, budget_ms: 20 }));
-
-        // Stall cause, injected directly (the watchdog's own detection
-        // logic is covered in gpu_sim::exec).
-        let ctrl2 = RunControl::unlimited();
-        ctrl2.token().cancel(CancelCause::Stalled { budget_ms: 9 });
-        assert_eq!(ctrl2.check(0), Err(StageError::Stalled { diagonal: 0, budget_ms: 9 }));
     }
 
     #[test]

@@ -3,19 +3,17 @@
 //! A [`CancelToken`] is the one shared word of truth for "this run must
 //! stop": cheap to clone (one `Arc`), cheap to poll (one relaxed atomic
 //! load), and safe to signal from any thread — the CLI's signal handler,
-//! a deadline/stall watchdog ([`crate::exec::spawn_watchdog`]), or the
+//! a deadline watchdog ([`crate::exec::spawn_watchdog`]), or the
 //! pipeline itself (`--cancel-after-diag`). Hot paths never read a clock
-//! through it: enforcement of deadlines and stall budgets lives in the
-//! watchdog thread, which observes the token's [`CancelToken::beats`]
-//! heartbeat counter; workers only `beat()` (a relaxed store) and poll
-//! [`CancelToken::is_cancelled`] at natural boundaries.
+//! through it: deadlines are enforced by the watchdog thread, and
+//! workers only poll [`CancelToken::is_cancelled`] at natural boundaries.
 //!
 //! The first cancellation wins: its [`CancelCause`] and time stamp are
 //! recorded and later calls are no-ops, so "why did this run stop" has
 //! exactly one answer. On cancelled teardown the strip scheduler parks a
 //! [`StripDiag`] snapshot of its per-strip published/claimed counters in
 //! the token, which the pipeline surfaces through its tracing layer as
-//! the stall diagnostic.
+//! the interruption diagnostic.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,16 +31,11 @@ pub enum CancelCause {
         /// The deadline budget that expired, in milliseconds.
         budget_ms: u64,
     },
-    /// The watchdog saw no heartbeat within the stall budget.
-    Stalled {
-        /// The stall budget that was exceeded, in milliseconds.
-        budget_ms: u64,
-    },
 }
 
 /// Diagnostic snapshot of the strip scheduler's coordination state at
 /// cancellation, recorded via [`CancelToken::set_strip_diag`] so the
-/// pipeline can report *where* a stalled run was stuck.
+/// pipeline can report *where* an interrupted run stopped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StripDiag {
     /// Per strip: block rows published to the right neighbour.
@@ -57,10 +50,6 @@ pub struct StripDiag {
 
 struct Inner {
     cancelled: AtomicBool,
-    /// Liveness counter: bumped by workers on every computed block /
-    /// published border. The watchdog declares a stall when it stops
-    /// moving for a whole budget.
-    heartbeat: AtomicU64,
     /// Time stamp (nanoseconds on the supervisor's injected clock) of the
     /// winning cancel, for time-to-cancel latency reporting.
     cancel_stamp_nanos: AtomicU64,
@@ -85,7 +74,6 @@ impl std::fmt::Debug for CancelToken {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CancelToken")
             .field("cancelled", &self.is_cancelled())
-            .field("beats", &self.beats())
             .finish_non_exhaustive()
     }
 }
@@ -96,7 +84,6 @@ impl CancelToken {
         CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
-                heartbeat: AtomicU64::new(0),
                 cancel_stamp_nanos: AtomicU64::new(0),
                 cause: Mutex::new(None),
                 diag: Mutex::new(None),
@@ -142,17 +129,6 @@ impl CancelToken {
         self.is_cancelled().then(|| self.inner.cancel_stamp_nanos.load(Ordering::Relaxed))
     }
 
-    /// Record one unit of forward progress (computed block, published
-    /// border row, committed diagonal). Relaxed store — hot-path safe.
-    pub fn beat(&self) {
-        self.inner.heartbeat.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Monotone heartbeat counter, observed by the stall watchdog.
-    pub fn beats(&self) -> u64 {
-        self.inner.heartbeat.load(Ordering::Relaxed)
-    }
-
     /// Park a strip-scheduler diagnostic snapshot (first one wins, so a
     /// stage-1 teardown is not overwritten by later small launches).
     pub fn set_strip_diag(&self, diag: StripDiag) {
@@ -189,11 +165,9 @@ mod tests {
     fn clones_share_state() {
         let t = CancelToken::new();
         let u = t.clone();
-        u.beat();
-        u.beat();
-        assert_eq!(t.beats(), 2);
         t.cancel(CancelCause::Requested);
         assert!(u.is_cancelled());
+        assert_eq!(u.cause(), Some(CancelCause::Requested));
     }
 
     #[test]

@@ -544,8 +544,7 @@ impl Drop for WorkerPool {
 
 /// Time source for [`spawn_watchdog`]: returns the elapsed time on the
 /// supervisor's injected clock. Kept as a closure (not `std::time`
-/// directly) so tests drive deadlines and stall budgets with a manual
-/// clock and production injects a monotonic one — no wall-clock reads in
+/// directly) so tests drive deadlines with a manual clock and production injects a monotonic one — no wall-clock reads in
 /// the engine's hot paths either way.
 pub type TimeSource = Arc<dyn Fn() -> Duration + Send + Sync>;
 
@@ -575,21 +574,19 @@ impl Drop for Watchdog {
 }
 
 /// Spawn a watchdog that cancels `token` when the run's `deadline`
-/// expires or when the token's heartbeat stops moving for a whole
-/// `stall_budget` (both measured on the injected `now` time source,
-/// relative to `now()` at spawn). The thread wakes every `poll` interval
-/// on a condvar (so dropping the handle stops it promptly, without a
-/// bare sleep) and exits as soon as the token is cancelled — by itself
-/// or by anyone else.
+/// expires (measured on the injected `now` time source, relative to
+/// `now()` at spawn). The thread wakes every `poll` interval on a
+/// condvar (so dropping the handle stops it promptly, without a bare
+/// sleep) and exits as soon as the token is cancelled — by itself or by
+/// anyone else.
 ///
-/// Workers never read a clock: they only bump the token's heartbeat.
-/// The watchdog is the single place where time meets the run, which is
-/// what keeps deadlines testable under a manual clock.
+/// Workers never read a clock: they only poll the token. The watchdog
+/// is the single place where time meets the run, which is what keeps
+/// deadlines testable under a manual clock.
 pub fn spawn_watchdog(
     token: CancelToken,
     now: TimeSource,
-    deadline: Option<Duration>,
-    stall_budget: Option<Duration>,
+    deadline: Duration,
     poll: Duration,
 ) -> Watchdog {
     let stop: Arc<(Mutex<bool>, Condvar)> = Arc::new((Mutex::new(false), Condvar::new()));
@@ -599,8 +596,6 @@ pub fn spawn_watchdog(
         .name("cudalign-watchdog".into())
         .spawn(move || {
             let (flag, cv) = &*stop2;
-            let mut last_beats = token.beats();
-            let mut last_progress = start;
             loop {
                 {
                     let stopped = lock_unpoisoned(flag);
@@ -614,27 +609,12 @@ pub fn spawn_watchdog(
                     return;
                 }
                 let t = (now)();
-                if let Some(dl) = deadline {
-                    if t.saturating_sub(start) >= dl {
-                        token.cancel_at(
-                            CancelCause::DeadlineExceeded { budget_ms: dl.as_millis() as u64 },
-                            t.as_nanos() as u64,
-                        );
-                        return;
-                    }
-                }
-                if let Some(budget) = stall_budget {
-                    let beats = token.beats();
-                    if beats != last_beats {
-                        last_beats = beats;
-                        last_progress = t;
-                    } else if t.saturating_sub(last_progress) >= budget {
-                        token.cancel_at(
-                            CancelCause::Stalled { budget_ms: budget.as_millis() as u64 },
-                            t.as_nanos() as u64,
-                        );
-                        return;
-                    }
+                if t.saturating_sub(start) >= deadline {
+                    token.cancel_at(
+                        CancelCause::DeadlineExceeded { budget_ms: deadline.as_millis() as u64 },
+                        t.as_nanos() as u64,
+                    );
+                    return;
                 }
             }
         })
@@ -1174,14 +1154,9 @@ mod tests {
     fn watchdog_fires_deadline_on_injected_clock() {
         let token = CancelToken::new();
         let (nanos, now) = manual_time();
-        let _dog = spawn_watchdog(
-            token.clone(),
-            now,
-            Some(Duration::from_millis(50)),
-            None,
-            Duration::from_millis(1),
-        );
-        // Below the deadline: stays alive even with no heartbeat.
+        let _dog =
+            spawn_watchdog(token.clone(), now, Duration::from_millis(50), Duration::from_millis(1));
+        // Below the deadline: stays alive.
         std::thread::sleep(Duration::from_millis(10));
         assert!(!token.is_cancelled());
         nanos.store(51_000_000, Ordering::SeqCst);
@@ -1190,42 +1165,13 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_fires_stall_only_when_heartbeat_stops() {
-        let token = CancelToken::new();
-        let (nanos, now) = manual_time();
-        let _dog = spawn_watchdog(
-            token.clone(),
-            now,
-            None,
-            Some(Duration::from_millis(20)),
-            Duration::from_millis(1),
-        );
-        // Heartbeat advances with the clock: no stall.
-        for step in 1..=5u64 {
-            token.beat();
-            nanos.store(step * 15_000_000, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(3));
-        }
-        assert!(!token.is_cancelled(), "moving heartbeat must not stall");
-        // Clock advances past the budget with no further beats: stall.
-        nanos.store(5 * 15_000_000 + 21_000_000, Ordering::SeqCst);
-        wait_until("stall cancel", || token.is_cancelled());
-        assert_eq!(token.cause(), Some(CancelCause::Stalled { budget_ms: 20 }));
-    }
-
-    #[test]
     fn watchdog_drop_stops_thread_and_external_cancel_wins() {
         let token = CancelToken::new();
         let (_nanos, now) = manual_time();
-        let dog = spawn_watchdog(
-            token.clone(),
-            now,
-            Some(Duration::from_secs(3600)),
-            Some(Duration::from_secs(3600)),
-            Duration::from_millis(1),
-        );
+        let dog =
+            spawn_watchdog(token.clone(), now, Duration::from_secs(3600), Duration::from_millis(1));
         token.cancel(CancelCause::Requested);
-        drop(dog); // must join promptly, not hang until a budget expires
+        drop(dog); // must join promptly, not hang until the deadline expires
         assert_eq!(token.cause(), Some(CancelCause::Requested));
     }
 

@@ -25,15 +25,16 @@
 //!   per-tile precision ladder (i8 → i16 → scalar `i32`), sharing the
 //!   striped layout and overflow protocol with [`striped`],
 //! * [`ctrl`] — run-supervision primitives: the clonable [`CancelToken`]
-//!   (cancel flag + cause + heartbeat) polled cooperatively by every
-//!   scheduler, with the deadline/stall watchdog living in [`exec`],
+//!   (cancel flag + cause) polled cooperatively by every scheduler, with
+//!   the deadline watchdog living in [`exec`],
 //! * [`exec`] — the persistent worker-pool executor (the CPU analogue of
 //!   a persistent-kernel GPU design): long-lived threads, a queue/condvar
 //!   handoff per external diagonal, panic capture instead of process
 //!   aborts, and busy-lane utilization counters,
-//! * [`wavefront`] — the external-diagonal scheduler (one [`exec`] scope
-//!   per diagonal as the barrier) with observer hooks used by the
-//!   pipeline to flush special rows and run matching procedures,
+//! * [`wavefront`] — the external-diagonal scheduler behind one entry
+//!   point, [`wavefront::run`] (serial or column-strip), with observer
+//!   hooks used by the pipeline to flush special rows and run matching
+//!   procedures,
 //! * [`device`] — the calibrated GTX 285 time model used to project
 //!   paper-scale runtimes from cell counts,
 //! * [`multi`] — column-split execution across several simulated cards

@@ -318,7 +318,7 @@ fn top_corner_from_init(job: &RegionJob<'_>, c0: usize) -> Score {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wavefront::run_plain;
+    use crate::wavefront::{run, NoObserver, RegionResult, RunOpts};
     use crate::GridSpec;
     use sw_core::scoring::Scoring;
     use sw_core::transcript::EdgeState as ES;
@@ -345,6 +345,10 @@ mod tests {
         }
     }
 
+    fn single_device(j: &RegionJob<'_>) -> RegionResult {
+        run(&WorkerPool::new(1), j, &mut NoObserver, RunOpts::default()).unwrap()
+    }
+
     #[test]
     fn split_matches_single_device_local() {
         let a = lcg(1, 400);
@@ -353,7 +357,7 @@ mod tests {
             b[i] = b"ACGT"[i % 4];
         }
         let j = job(&a, &b, Mode::Local);
-        let single = run_plain(&j);
+        let single = single_device(&j);
         for devices in [1usize, 2, 3, 5] {
             let multi = run_split(&j, devices);
             assert_eq!(multi.best, single.best, "{devices} devices");
@@ -376,7 +380,7 @@ mod tests {
             Mode::global_reverse(ES::GapS1, &sc),
         ] {
             let j = job(&a, &b, mode);
-            let single = run_plain(&j);
+            let single = single_device(&j);
             let multi = run_split(&j, 3);
             assert_eq!(multi.hbus, single.hbus, "{mode:?}");
         }
@@ -401,7 +405,7 @@ mod tests {
         // More devices than columns clamps.
         let a = lcg(9, 10);
         let multi3 = run_split(&job(&a, &a, Mode::Local), 64);
-        let single = run_plain(&job(&a, &a, Mode::Local));
+        let single = single_device(&job(&a, &a, Mode::Local));
         assert_eq!(multi3.best, single.best);
     }
 }

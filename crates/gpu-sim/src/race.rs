@@ -189,9 +189,9 @@ struct Inner {
     strip_published: Vec<usize>,
 }
 
-/// Per-engine-run detector state. Create one per
-/// `wavefront::run_resumable_pooled` invocation; blocks report their bus
-/// reads and writes through it and violations land in the global sink.
+/// Per-engine-run detector state. Create one per `wavefront::run`
+/// invocation; blocks report their bus reads and writes through it and
+/// violations land in the global sink.
 pub struct Session {
     inner: Mutex<Inner>,
 }

@@ -75,8 +75,8 @@ pub trait WavefrontObserver {
     ) -> ControlFlow<()>;
 
     /// Called between external diagonals at the cadence configured via
-    /// [`run_resumable`]'s `checkpoint_every`, with a snapshot the
-    /// observer may persist. Default: ignore.
+    /// [`RunOpts::checkpoint_every`], with a snapshot the observer may
+    /// persist. Default: ignore.
     fn on_checkpoint(&mut self, _state: &EngineState) {}
 
     /// Called for strip-scheduler protocol events (claims, steals, border
@@ -328,7 +328,7 @@ pub struct EngineState {
 
 impl EngineState {
     /// Does this snapshot belong to `job`? Callers should check before
-    /// resuming; [`run_resumable`] panics on a mismatch.
+    /// resuming; [`run`] panics on a mismatch.
     pub fn matches(&self, job: &RegionJob<'_>) -> bool {
         self.fingerprint == Self::fingerprint_of(job)
     }
@@ -505,120 +505,54 @@ impl EngineState {
     }
 }
 
-/// Run a region to completion (or until an observer aborts).
-///
-/// Convenience wrapper that builds a transient [`WorkerPool`] sized by
-/// `job.workers` and panics if a worker panics (the pre-executor
-/// behaviour). Pipelines should prefer [`run_pooled`] with a shared pool.
-pub fn run(job: &RegionJob<'_>, observer: &mut dyn WavefrontObserver) -> RegionResult {
-    run_resumable(job, observer, None, None)
+/// Optional inputs of a [`run`] launch. `RunOpts::default()` is a plain
+/// run: fresh start, no checkpoints, automatic scheduler choice, no
+/// cancellation.
+#[derive(Debug, Default)]
+pub struct RunOpts<'a> {
+    /// Continue from a snapshot of a previous launch of the same job.
+    pub resume: Option<EngineState>,
+    /// Deliver a snapshot to [`WavefrontObserver::on_checkpoint`] every
+    /// this many external diagonals.
+    pub checkpoint_every: Option<usize>,
+    /// Force the column-strip scheduler with this plan — including ragged
+    /// plans whose strip count exceeds the worker count, which exercises
+    /// whole-strip work stealing.
+    pub plan: Option<StripPlan>,
+    /// Supervision token, polled cooperatively: by the serial engine
+    /// between external diagonals, by the strip engine in its delivery
+    /// loop (which in turn wakes parked runners through the protocol
+    /// condvars). A cancelled launch first emits one final
+    /// [`WavefrontObserver::on_checkpoint`] with the state at the last
+    /// completed diagonal boundary (when checkpointing is enabled), so
+    /// cancellation is always resumable, then returns with
+    /// [`RegionResult::aborted`] set.
+    pub token: Option<&'a CancelToken>,
 }
 
-/// Run a region on a shared persistent [`WorkerPool`].
+/// Run a region on a shared persistent [`WorkerPool`] to completion, or
+/// until the observer aborts or the token is cancelled.
 ///
-/// Observationally identical to [`run`] for every pool size: block
-/// results are merged (and the observer notified) on the calling thread
-/// in canonical diagonal order, so scheduling cannot change scores,
-/// endpoints, buses, or observer event order.
-pub fn run_pooled(
-    pool: &WorkerPool,
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-) -> Result<RegionResult, ExecError> {
-    run_resumable_pooled(pool, job, observer, None, None)
-}
-
-/// Like [`run`], but optionally resuming from a previous [`EngineState`]
-/// and/or delivering snapshots to the observer's
-/// [`WavefrontObserver::on_checkpoint`] every `checkpoint_every`
-/// external diagonals.
-///
-/// # Panics
-/// Panics when `resume` carries a fingerprint for a different job, or
-/// when a worker panics (transient-pool wrapper; see [`run`]).
-pub fn run_resumable(
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-    resume: Option<EngineState>,
-    checkpoint_every: Option<usize>,
-) -> RegionResult {
-    let pool = WorkerPool::new(job.workers);
-    run_resumable_pooled(&pool, job, observer, resume, checkpoint_every)
-        // lint: allow(no-panics): documented panicking wrapper (see `# Panics`
-        // above); error-returning callers use `run_resumable_pooled`.
-        .unwrap_or_else(|e| panic!("wavefront worker panicked: {e}"))
-}
-
-/// [`run_resumable`] on a shared persistent [`WorkerPool`].
-///
-/// The effective parallelism of a diagonal is
+/// Observationally identical for every pool size: block results are
+/// merged (and the observer notified) on the calling thread in canonical
+/// diagonal order, so scheduling cannot change scores, endpoints, buses,
+/// or observer event order. The effective parallelism is
 /// `min(pool.lanes(), job.workers)` (with `job.workers == 0` meaning "no
 /// extra cap"), so a job built with `workers: 1` stays serial even on a
 /// wide pool — stage 3 relies on that to keep per-partition engines
 /// single-lane while partitions fan out.
 ///
 /// # Panics
-/// Panics when `resume` carries a fingerprint for a different job.
-pub fn run_resumable_pooled(
-    pool: &WorkerPool,
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-    resume: Option<EngineState>,
-    checkpoint_every: Option<usize>,
-) -> Result<RegionResult, ExecError> {
-    run_engine(pool, job, observer, resume, checkpoint_every, None, None)
-}
-
-/// [`run_resumable_pooled`] under a supervision token.
-///
-/// Both schedulers poll `token` cooperatively: the serial engine between
-/// external diagonals, the strip engine in its delivery loop (which in
-/// turn wakes parked runners through the protocol condvars). A cancelled
-/// launch first emits one final [`WavefrontObserver::on_checkpoint`] with
-/// the state at the last completed diagonal boundary (when checkpointing
-/// is enabled), so cancellation is always resumable, then returns with
-/// [`RegionResult::aborted`] set. Workers bump the token's heartbeat on
-/// every computed block / published border, which is what the stall
-/// watchdog observes — no clock is read anywhere in here.
-///
-/// # Panics
-/// Panics when `resume` carries a fingerprint for a different job.
-pub fn run_supervised(
-    pool: &WorkerPool,
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-    resume: Option<EngineState>,
-    checkpoint_every: Option<usize>,
-    token: Option<&CancelToken>,
-) -> Result<RegionResult, ExecError> {
-    run_engine(pool, job, observer, resume, checkpoint_every, None, token)
-}
-
-/// Run a region on the column-strip scheduler with an explicit
-/// [`StripPlan`] — including ragged plans whose strip count exceeds the
-/// worker count, which exercises whole-strip work stealing.
-///
-/// # Panics
-/// Panics when `plan` does not cover the job's grid
+/// Panics when `opts.resume` carries a fingerprint for a different job,
+/// or when `opts.plan` does not cover the job's grid
 /// ([`StripPlan::is_valid_for`]).
-pub fn run_pooled_with_plan(
+pub fn run(
     pool: &WorkerPool,
     job: &RegionJob<'_>,
     observer: &mut dyn WavefrontObserver,
-    plan: &StripPlan,
+    opts: RunOpts<'_>,
 ) -> Result<RegionResult, ExecError> {
-    run_engine(pool, job, observer, None, None, Some(plan.clone()), None)
-}
-
-fn run_engine(
-    pool: &WorkerPool,
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-    resume: Option<EngineState>,
-    checkpoint_every: Option<usize>,
-    plan: Option<StripPlan>,
-    token: Option<&CancelToken>,
-) -> Result<RegionResult, ExecError> {
+    let RunOpts { resume, checkpoint_every, plan, token } = opts;
     let (m, n) = (job.a.len(), job.b.len());
     let layout = job.grid.layout(m, n);
     let local = job.mode.is_local();
@@ -881,9 +815,6 @@ fn run_engine(
             }
             let (r, c) = (t.coords.r, t.coords.c);
             corners[(r + 1) * (bc + 1) + (c + 1)] = out.corner_out;
-            if let Some(tok) = token {
-                tok.beat();
-            }
             if observer.on_block(&t.coords, &out, t.hseg, t.vseg).is_break() {
                 aborted = true;
                 break;
@@ -908,11 +839,6 @@ fn run_engine(
         profile_misses: profile_cache.misses(),
         strip: None,
     })
-}
-
-/// Convenience: run without an observer.
-pub fn run_plain(job: &RegionJob<'_>) -> RegionResult {
-    run(job, &mut NoObserver)
 }
 
 /// The column-strip scheduler: persistent strip ownership, point-to-point
@@ -969,8 +895,7 @@ mod strip {
         pub init_best: Option<(Score, usize, usize)>,
         pub init_cells: u64,
         pub init_busy: u64,
-        /// Supervision token polled by the delivery loop; runners bump
-        /// its heartbeat on every computed block / published border.
+        /// Supervision token polled by the delivery loop.
         pub token: Option<&'a CancelToken>,
         #[cfg(feature = "race-check")]
         pub race: &'a crate::race::Session,
@@ -1064,8 +989,6 @@ mod strip {
         cv_work: Condvar,
         /// The deliverer parks here for block completions / cancel.
         cv_done: Condvar,
-        /// Heartbeat sink for the stall watchdog (never polled here).
-        token: Option<&'a CancelToken>,
         #[cfg(feature = "race-check")]
         race: &'a crate::race::Session,
     }
@@ -1162,9 +1085,6 @@ mod strip {
                 rows_total: sh.layout.block_rows,
             });
             drop(co);
-            if let Some(t) = sh.token {
-                t.beat();
-            }
             sh.cv_work.notify_all();
             // The event itself must reach the deliverer even when no
             // block completion follows promptly.
@@ -1363,9 +1283,6 @@ mod strip {
         co.done.insert((r, c), parked);
         let alive = !co.cancel;
         drop(co);
-        if let Some(t) = sh.token {
-            t.beat();
-        }
         sh.cv_done.notify_all();
         alive
     }
@@ -1480,7 +1397,6 @@ mod strip {
             }),
             cv_work: Condvar::new(),
             cv_done: Condvar::new(),
-            token: p.token,
             #[cfg(feature = "race-check")]
             race: p.race,
         };
@@ -1611,8 +1527,8 @@ mod strip {
         let profile_hits = co.profile_hits + cache0.hits();
         let profile_misses = co.profile_misses + cache0.misses();
         // Cancelled teardown: park a diagnostic snapshot of the protocol
-        // counters in the token, so a stalled run can report where each
-        // strip was stuck.
+        // counters in the token, so an interrupted run can report where
+        // each strip stopped.
         if let Some(t) = p.token {
             if t.is_cancelled() {
                 t.set_strip_diag(StripDiag {
@@ -1791,12 +1707,26 @@ mod tests {
         RegionJob { a, b, scoring: SC, mode, grid, workers, watch: None }
     }
 
+    /// Run `job` on a fresh pool sized by `job.workers`.
+    pub(super) fn solo_with(
+        job: &RegionJob<'_>,
+        observer: &mut dyn WavefrontObserver,
+        opts: RunOpts<'_>,
+    ) -> RegionResult {
+        run(&WorkerPool::new(job.workers), job, observer, opts).expect("no worker panic")
+    }
+
+    /// [`solo_with`] without an observer or options.
+    pub(super) fn solo(job: &RegionJob<'_>) -> RegionResult {
+        solo_with(job, &mut NoObserver, RunOpts::default())
+    }
+
     #[test]
     fn global_final_row_matches_rowdp() {
         let a = lcg(1, 113);
         let b = lcg(2, 97);
         for start in [ES::Diagonal, ES::GapS0, ES::GapS1] {
-            let res = run_plain(&job(&a, &b, Mode::global(start), GridSpec::small(), 2));
+            let res = solo(&job(&a, &b, Mode::global(start), GridSpec::small(), 2));
             assert!(!res.aborted);
             assert_eq!(res.cells, (a.len() * b.len()) as u64);
             let (h, f) = forward_vectors(&a, &b, &SC, start);
@@ -1814,7 +1744,7 @@ mod tests {
         for i in (0..200).step_by(17) {
             b[i] = b"ACGT"[(i / 17) % 4];
         }
-        let res = run_plain(&job(&a, &b, Mode::Local, GridSpec::small(), 3));
+        let res = solo(&job(&a, &b, Mode::Local, GridSpec::small(), 3));
         let (score, end) = sw_local_score(&a, &b, &SC);
         let (s, i, j) = res.best.expect("positive score expected");
         assert_eq!(s, score);
@@ -1825,10 +1755,8 @@ mod tests {
     fn worker_count_does_not_change_results() {
         let a = lcg(5, 301);
         let b = lcg(6, 257);
-        let r1 =
-            run_plain(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 1));
-        let r4 =
-            run_plain(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 4));
+        let r1 = solo(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 1));
+        let r4 = solo(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 4));
         assert_eq!(r1.best, r4.best);
         assert_eq!(r1.cells, r4.cells);
         for j in 0..b.len() {
@@ -1846,9 +1774,9 @@ mod tests {
             GridSpec { blocks: 7, threads: 2, alpha: 5 },
             GridSpec { blocks: 240, threads: 64, alpha: 4 }, // reduced at runtime
         ];
-        let reference = run_plain(&job(&a, &b, Mode::global(ES::Diagonal), grids[0], 2));
+        let reference = solo(&job(&a, &b, Mode::global(ES::Diagonal), grids[0], 2));
         for g in &grids[1..] {
-            let r = run_plain(&job(&a, &b, Mode::global(ES::Diagonal), *g, 2));
+            let r = solo(&job(&a, &b, Mode::global(ES::Diagonal), *g, 2));
             assert_eq!(r.hbus, reference.hbus, "grid {g:?}");
         }
     }
@@ -1878,7 +1806,7 @@ mod tests {
         let b = lcg(10, 48);
         let grid = GridSpec { blocks: 3, threads: 2, alpha: 4 };
         let mut obs = Collect { seen: Vec::new() };
-        let res = run(&job(&a, &b, Mode::Local, grid, 2), &mut obs);
+        let res = solo_with(&job(&a, &b, Mode::Local, grid, 2), &mut obs, RunOpts::default());
         assert_eq!(obs.seen.len(), res.layout.block_rows * res.layout.block_cols);
         // Diagonals are non-decreasing.
         for w in obs.seen.windows(2) {
@@ -1911,26 +1839,26 @@ mod tests {
         let b = lcg(12, 128);
         let grid = GridSpec { blocks: 4, threads: 2, alpha: 2 };
         let mut obs = StopAfter { n: 3 };
-        let res = run(&job(&a, &b, Mode::Local, grid, 2), &mut obs);
+        let res = solo_with(&job(&a, &b, Mode::Local, grid, 2), &mut obs, RunOpts::default());
         assert!(res.aborted);
         assert!(res.cells < (a.len() * b.len()) as u64);
     }
 
     #[test]
     fn degenerate_empty_region() {
-        let res = run_plain(&job(b"", b"ACG", Mode::global(ES::Diagonal), GridSpec::small(), 2));
+        let res = solo(&job(b"", b"ACG", Mode::global(ES::Diagonal), GridSpec::small(), 2));
         assert_eq!(res.cells, 0);
         assert!(!res.aborted);
         // hbus keeps the init row.
         assert_eq!(res.hbus[0].h, -5);
-        let res2 = run_plain(&job(b"ACG", b"", Mode::Local, GridSpec::small(), 2));
+        let res2 = solo(&job(b"ACG", b"", Mode::Local, GridSpec::small(), 2));
         assert_eq!(res2.cells, 0);
         assert!(res2.best.is_none());
     }
 
     #[test]
     fn single_cell_region() {
-        let res = run_plain(&job(b"A", b"A", Mode::Local, GridSpec::small(), 2));
+        let res = solo(&job(b"A", b"A", Mode::Local, GridSpec::small(), 2));
         assert_eq!(res.best, Some((1, 1, 1)));
         assert_eq!(res.cells, 1);
     }
@@ -1938,6 +1866,7 @@ mod tests {
 
 #[cfg(test)]
 mod utilization_tests {
+    use super::tests::solo;
     use super::*;
     use sw_core::transcript::EdgeState as ES;
 
@@ -1967,7 +1896,7 @@ mod utilization_tests {
             workers: 1,
             watch: None,
         };
-        let res = run_plain(&job);
+        let res = solo(&job);
         assert!(res.utilization() > 0.99, "utilization {}", res.utilization());
         assert_eq!(res.busy_slots, res.layout.block_rows as u64 * res.layout.block_cols as u64);
     }
@@ -1987,7 +1916,7 @@ mod utilization_tests {
             workers: 1,
             watch: None,
         };
-        let res = run_plain(&job);
+        let res = solo(&job);
         let (r, c) = (res.layout.block_rows as f64, res.layout.block_cols as f64);
         let expected = (r * c) / ((r + c - 1.0) * c);
         assert!((res.utilization() - expected).abs() < 1e-9);
@@ -1996,6 +1925,7 @@ mod utilization_tests {
 
 #[cfg(test)]
 mod resume_tests {
+    use super::tests::{solo, solo_with};
     use super::*;
     use sw_core::transcript::EdgeState as ES;
 
@@ -2047,11 +1977,12 @@ mod resume_tests {
             b[i] = b"ACGT"[i % 4];
         }
         let j = job(&a, &b);
-        let full = run_plain(&j);
+        let full = solo(&j);
 
         // Capture checkpoints every 5 diagonals.
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j, &mut obs, None, Some(5));
+        let _ =
+            solo_with(&j, &mut obs, RunOpts { checkpoint_every: Some(5), ..Default::default() });
         let snapshots = obs.0;
         assert!(snapshots.len() >= 2, "expected several checkpoints");
         let mid = snapshots[snapshots.len() / 2].clone();
@@ -2061,7 +1992,11 @@ mod resume_tests {
         let restored = EngineState::decode(&bytes).expect("decode");
         assert_eq!(restored, mid);
 
-        let resumed = run_resumable(&j, &mut NoObserver, Some(restored), None);
+        let resumed = solo_with(
+            &j,
+            &mut NoObserver,
+            RunOpts { resume: Some(restored), ..Default::default() },
+        );
         assert_eq!(resumed.best, full.best);
         assert_eq!(resumed.hbus, full.hbus);
         assert_eq!(resumed.vbus, full.vbus);
@@ -2075,13 +2010,14 @@ mod resume_tests {
         let b = lcg(3, 100);
         let j = job(&a, &b);
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j, &mut obs, None, Some(3));
+        let _ =
+            solo_with(&j, &mut obs, RunOpts { checkpoint_every: Some(3), ..Default::default() });
         let mut snaps = obs.0;
         let other_a = lcg(4, 120);
         let j2 = job(&other_a, &b);
         let snap = snaps.pop().expect("have a snapshot");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_resumable(&j2, &mut NoObserver, Some(snap), None)
+            solo_with(&j2, &mut NoObserver, RunOpts { resume: Some(snap), ..Default::default() })
         }));
         assert!(result.is_err(), "foreign checkpoint must be rejected");
     }
@@ -2094,10 +2030,11 @@ mod resume_tests {
         let a = lcg(7, 260);
         let b = lcg(9, 240);
         let j = job(&a, &b); // workers: 2 -> strip scheduler
-        let full = run_plain(&j);
+        let full = solo(&j);
 
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j, &mut obs, None, Some(4));
+        let _ =
+            solo_with(&j, &mut obs, RunOpts { checkpoint_every: Some(4), ..Default::default() });
         let snap = obs.0.into_iter().next().expect("have a checkpoint");
         let ScheduleInfo::Strips { strips, batch_rows } = snap.schedule else {
             panic!("strip-scheduled run must stamp Strips provenance, got {:?}", snap.schedule);
@@ -2122,7 +2059,8 @@ mod resume_tests {
         assert_eq!(legacy.corners, snap.corners);
 
         // ... and resuming from it reproduces the uninterrupted run.
-        let resumed = run_resumable(&j, &mut NoObserver, Some(legacy), None);
+        let resumed =
+            solo_with(&j, &mut NoObserver, RunOpts { resume: Some(legacy), ..Default::default() });
         assert_eq!(resumed.best, full.best);
         assert_eq!(resumed.hbus, full.hbus);
         assert_eq!(resumed.cells, full.cells);
@@ -2138,17 +2076,22 @@ mod resume_tests {
         let a = lcg(11, 280);
         let b = lcg(13, 300);
         let j4 = RegionJob { workers: 4, ..job(&a, &b) };
-        let full = run_plain(&j4);
+        let full = solo(&j4);
 
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j4, &mut obs, None, Some(3));
+        let _ =
+            solo_with(&j4, &mut obs, RunOpts { checkpoint_every: Some(3), ..Default::default() });
         let snapshots = obs.0;
         assert!(snapshots.len() >= 2, "expected several checkpoints");
         let mid = snapshots[snapshots.len() / 2].clone();
 
         for workers in [1usize, 2, 3, 8] {
             let j = RegionJob { workers, ..j4 };
-            let resumed = run_resumable(&j, &mut NoObserver, Some(mid.clone()), None);
+            let resumed = solo_with(
+                &j,
+                &mut NoObserver,
+                RunOpts { resume: Some(mid.clone()), ..Default::default() },
+            );
             assert_eq!(resumed.best, full.best, "workers={workers}");
             assert_eq!(resumed.hbus, full.hbus, "workers={workers}");
             assert_eq!(resumed.vbus, full.vbus, "workers={workers}");
@@ -2195,19 +2138,32 @@ mod resume_tests {
         let b = lcg(22, 300);
         for workers in [1usize, 4] {
             let j = RegionJob { workers, ..job(&a, &b) };
-            let full = run_plain(&j);
+            let full = solo(&j);
             let pool = WorkerPool::new(workers);
             for cancel_after in [1usize, 7, 25] {
                 let token = crate::ctrl::CancelToken::new();
                 let mut obs = CancelAfter { countdown: cancel_after, token: &token, snaps: vec![] };
                 // Cadence 10_000 never fires on this grid: every recorded
                 // snapshot below is the cancellation flush itself.
-                let res =
-                    run_supervised(&pool, &j, &mut obs, None, Some(10_000), Some(&token)).unwrap();
+                let res = run(
+                    &pool,
+                    &j,
+                    &mut obs,
+                    RunOpts {
+                        checkpoint_every: Some(10_000),
+                        token: Some(&token),
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
                 assert!(res.aborted, "workers={workers} cancel_after={cancel_after}");
                 let snap = obs.snaps.pop().expect("cancel must flush a checkpoint");
                 assert!(obs.snaps.is_empty(), "exactly one flush per cancel");
-                let resumed = run_resumable(&j, &mut NoObserver, Some(snap), None);
+                let resumed = solo_with(
+                    &j,
+                    &mut NoObserver,
+                    RunOpts { resume: Some(snap), ..Default::default() },
+                );
                 assert_eq!(resumed.best, full.best, "workers={workers}");
                 assert_eq!(resumed.hbus, full.hbus, "workers={workers}");
                 assert_eq!(resumed.vbus, full.vbus, "workers={workers}");
@@ -2224,38 +2180,49 @@ mod resume_tests {
         let a = lcg(23, 150);
         let b = lcg(24, 140);
         let j = job(&a, &b);
-        let full = run_plain(&j);
+        let full = solo(&j);
         let pool = WorkerPool::new(2);
         let token = crate::ctrl::CancelToken::new();
         token.cancel(crate::ctrl::CancelCause::Requested);
         let mut obs = CancelAfter { countdown: 0, token: &token, snaps: vec![] };
-        let res = run_supervised(&pool, &j, &mut obs, None, Some(10_000), Some(&token)).unwrap();
+        let res = run(
+            &pool,
+            &j,
+            &mut obs,
+            RunOpts { checkpoint_every: Some(10_000), token: Some(&token), ..Default::default() },
+        )
+        .unwrap();
         assert!(res.aborted);
         assert_eq!(res.cells, 0, "no partial work should be committed");
         let snap = obs.snaps.pop().expect("flush");
         assert_eq!(snap.next_diagonal, 0);
-        let resumed = run_resumable(&j, &mut NoObserver, Some(snap), None);
+        let resumed =
+            solo_with(&j, &mut NoObserver, RunOpts { resume: Some(snap), ..Default::default() });
         assert_eq!(resumed.best, full.best);
         assert_eq!(resumed.hbus, full.hbus);
     }
 
-    /// A live (never-cancelled) token must not change results, and the
-    /// heartbeat must move.
+    /// A live (never-cancelled) token must not change results.
     #[test]
-    fn supervised_run_without_cancel_is_identical_and_beats() {
+    fn supervised_run_without_cancel_is_identical() {
         let a = lcg(25, 200);
         let b = lcg(26, 180);
         for workers in [1usize, 3] {
             let j = RegionJob { workers, ..job(&a, &b) };
-            let full = run_plain(&j);
+            let full = solo(&j);
             let pool = WorkerPool::new(workers);
             let token = crate::ctrl::CancelToken::new();
-            let res = run_supervised(&pool, &j, &mut NoObserver, None, None, Some(&token)).unwrap();
+            let res = run(
+                &pool,
+                &j,
+                &mut NoObserver,
+                RunOpts { token: Some(&token), ..Default::default() },
+            )
+            .unwrap();
             assert!(!res.aborted);
             assert_eq!(res.best, full.best, "workers={workers}");
             assert_eq!(res.hbus, full.hbus, "workers={workers}");
             assert_eq!(res.cells, full.cells, "workers={workers}");
-            assert!(token.beats() > 0, "workers must report liveness");
         }
     }
 
@@ -2275,7 +2242,8 @@ mod resume_tests {
             watch: None,
         };
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j, &mut obs, None, Some(1));
+        let _ =
+            solo_with(&j, &mut obs, RunOpts { checkpoint_every: Some(1), ..Default::default() });
         let snaps = obs.0;
         let bytes = snaps[0].encode();
         assert!(EngineState::decode(&bytes[..bytes.len() - 3]).is_none());

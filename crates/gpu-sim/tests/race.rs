@@ -18,8 +18,8 @@
 
 use gpu_sim::exec::fault;
 use gpu_sim::race::{self, ViolationKind};
-use gpu_sim::wavefront::{run_plain, RegionJob};
-use gpu_sim::{multi, GridSpec, Mode};
+use gpu_sim::wavefront::{run, RegionJob, RegionResult, RunOpts};
+use gpu_sim::{multi, GridSpec, Mode, NoObserver, WorkerPool};
 use std::sync::{Mutex, MutexGuard};
 use sw_core::scoring::Scoring;
 
@@ -56,12 +56,17 @@ fn job<'a>(a: &'a [u8], b: &'a [u8], workers: usize) -> RegionJob<'a> {
     }
 }
 
+/// Run `job` on a fresh pool sized by `job.workers`.
+fn solo(job: &RegionJob<'_>) -> RegionResult {
+    run(&WorkerPool::new(job.workers), job, &mut NoObserver, RunOpts::default()).unwrap()
+}
+
 #[test]
 fn clean_parallel_run_reports_nothing() {
     let _g = isolated();
     let (a, b) = (dna(11, 96), dna(23, 96));
     for workers in [1, 4] {
-        let res = run_plain(&job(&a, &b, workers));
+        let res = solo(&job(&a, &b, workers));
         assert!(res.cells > 0);
         let report = race::take_report();
         assert!(
@@ -78,13 +83,13 @@ fn seeded_reorder_fault_is_caught_and_output_unchanged() {
     let (a, b) = (dna(41, 96), dna(59, 96));
     let j = job(&a, &b, 4);
 
-    let clean = run_plain(&j);
+    let clean = solo(&j);
     assert!(race::take_report().is_empty(), "baseline run must be clean");
 
     // Run block (1,1) one external diagonal early — before the barrier
     // that seals its producers' writes.
     fault::arm_reorder_block(1, 1);
-    let faulty = run_plain(&j);
+    let faulty = solo(&j);
     fault::disarm();
     let report = race::take_report();
 
@@ -119,14 +124,14 @@ fn seeded_early_publish_fault_is_caught_and_output_unchanged() {
     // single-column strips and point-to-point publishes between them.
     let j = job(&a, &b, 4);
 
-    let clean = run_plain(&j);
+    let clean = solo(&j);
     assert!(race::take_report().is_empty(), "baseline strip run must be clean");
 
     // Publish block (2,1)'s border one block early: the fault replays the
     // right neighbour (2,2)'s bus reads at the moment (2,1) is *about* to
     // compute — i.e. before the border it consumes exists.
     fault::arm_early_publish(2, 1);
-    let faulty = run_plain(&j);
+    let faulty = solo(&j);
     fault::disarm();
     let report = race::take_report();
 
@@ -166,12 +171,12 @@ fn second_run_after_fault_is_clean_again() {
     let j = job(&a, &b, 4);
 
     fault::arm_reorder_block(1, 1);
-    let _ = run_plain(&j);
+    let _ = solo(&j);
     fault::disarm();
     assert!(!race::take_report().is_empty());
 
     // Sessions are per-run: the next run starts from fresh shadow state.
-    let _ = run_plain(&j);
+    let _ = solo(&j);
     let report = race::take_report();
     assert!(
         report.is_empty(),
@@ -185,7 +190,7 @@ fn multi_device_clean_run_reports_nothing() {
     let _g = isolated();
     let (a, b) = (dna(77, 128), dna(91, 128));
     let j = job(&a, &b, 3);
-    let single = run_plain(&j);
+    let single = solo(&j);
     let split = multi::run_split(&j, 3);
     assert_eq!(single.hbus, split.hbus);
     assert!(split.exchanged_cells > 0, "pipeline must actually exchange borders");

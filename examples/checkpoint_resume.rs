@@ -10,7 +10,7 @@
 
 use cudalign::config::{CheckpointPolicy, SraBackend};
 use cudalign::sra::LineStore;
-use cudalign::{stage1, Pipeline, PipelineConfig, WorkerPool};
+use cudalign::{stage1, Obs, Pipeline, PipelineConfig, RunControl, WorkerPool};
 use seqio::generate::{homologous_pair, HomologyParams};
 use std::time::Instant;
 
@@ -35,7 +35,7 @@ fn main() {
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "special-row", fp).unwrap();
         let t = Instant::now();
-        let _ = stage1::run_resumable(
+        let _ = stage1::run(
             s0.bases(),
             s1.bases(),
             &cfg,
@@ -43,6 +43,8 @@ fn main() {
             &mut rows,
             None,
             Some((dir.as_path(), 16)),
+            &mut Obs::new(),
+            &RunControl::unlimited(),
         );
         println!("full stage 1: {:.2}s", t.elapsed().as_secs_f64());
         std::mem::forget(rows); // crash: leave the special-row log behind
@@ -57,9 +59,15 @@ fn main() {
     // --- The recovery run: Pipeline::align picks the snapshot up itself.
     let t = Instant::now();
     let res = Pipeline::new(cfg).align(s0.bases(), s1.bases()).expect("pipeline failed");
+    assert!(
+        res.stats.resumed_from_diagonal > 0,
+        "the recovery run must resume stage 1 from the snapshot"
+    );
     println!(
-        "resumed pipeline: {:.2}s total, stage 1 recomputed only the tail of the matrix",
-        t.elapsed().as_secs_f64()
+        "resumed pipeline: {:.2}s total, stage 1 recomputed only the tail of the matrix \
+         (from external diagonal {})",
+        t.elapsed().as_secs_f64(),
+        res.stats.resumed_from_diagonal
     );
     println!(
         "score {} | start {:?} | end {:?} | alignment {} columns",

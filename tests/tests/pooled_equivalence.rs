@@ -7,7 +7,7 @@
 //! endpoints, buses and observer event stream (hence the same special
 //! rows) as the single-threaded run.
 
-use gpu_sim::wavefront::{run, run_pooled, run_pooled_with_plan, RegionJob};
+use gpu_sim::wavefront::{run, NoObserver, RegionJob, RunOpts};
 use gpu_sim::{BlockCoords, CellHE, CellHF, GridSpec, Mode, StripPlan, TileOutcome, WorkerPool};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -81,13 +81,14 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
+            .expect("no worker panic");
 
         for lanes in [1usize, 2, 8] {
             let pool = WorkerPool::new(lanes);
             let job = RegionJob { workers: lanes, ..serial_job };
             let mut obs = Recorder::default();
-            let res = run_pooled(&pool, &job, &mut obs).expect("no worker panic");
+            let res = run(&pool, &job, &mut obs, RunOpts::default()).expect("no worker panic");
             prop_assert_eq!(res.best, serial.best, "best, lanes={}", lanes);
             prop_assert_eq!(res.cells, serial.cells, "cells, lanes={}", lanes);
             prop_assert_eq!(&res.hbus, &serial.hbus, "hbus, lanes={}", lanes);
@@ -114,13 +115,14 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
+            .expect("no worker panic");
 
         for lanes in [2usize, 8] {
             let pool = WorkerPool::new(lanes);
             let job = RegionJob { workers: lanes, ..serial_job };
             let mut obs = Recorder::default();
-            let res = run_pooled(&pool, &job, &mut obs).expect("no worker panic");
+            let res = run(&pool, &job, &mut obs, RunOpts::default()).expect("no worker panic");
             prop_assert_eq!(&res.hbus, &serial.hbus, "hbus, lanes={}", lanes);
             prop_assert_eq!(&res.vbus, &serial.vbus, "vbus, lanes={}", lanes);
             prop_assert!(obs.events == serial_obs.events, "stream, lanes={}", lanes);
@@ -138,11 +140,11 @@ proptest! {
             grid: g1, workers: 0, watch: None,
         };
         let job2 = RegionJob { grid: g2, ..job1 };
-        let first_1 = run_pooled(&pool, &job1, &mut gpu_sim::wavefront::NoObserver).unwrap();
-        let first_2 = run_pooled(&pool, &job2, &mut gpu_sim::wavefront::NoObserver).unwrap();
+        let first_1 = run(&pool, &job1, &mut NoObserver, RunOpts::default()).unwrap();
+        let first_2 = run(&pool, &job2, &mut NoObserver, RunOpts::default()).unwrap();
         // Re-run in the opposite order on the same pool.
-        let second_2 = run_pooled(&pool, &job2, &mut gpu_sim::wavefront::NoObserver).unwrap();
-        let second_1 = run_pooled(&pool, &job1, &mut gpu_sim::wavefront::NoObserver).unwrap();
+        let second_2 = run(&pool, &job2, &mut NoObserver, RunOpts::default()).unwrap();
+        let second_1 = run(&pool, &job1, &mut NoObserver, RunOpts::default()).unwrap();
         prop_assert_eq!(first_1.best, second_1.best);
         prop_assert_eq!(first_1.hbus, second_1.hbus);
         prop_assert_eq!(first_2.best, second_2.best);
@@ -259,13 +261,14 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
+            .expect("no worker panic");
 
         for workers in [1usize, 2, 3, 4, 8] {
             let pool = WorkerPool::new(workers);
             let job = RegionJob { workers, ..serial_job };
             let mut obs = Recorder::default();
-            let res = run_pooled(&pool, &job, &mut obs).expect("no worker panic");
+            let res = run(&pool, &job, &mut obs, RunOpts::default()).expect("no worker panic");
             assert_equiv(&res, &obs, &serial, &serial_obs, &format!("workers={workers}"))?;
         }
     }
@@ -288,7 +291,8 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
+            .expect("no worker panic");
         let bc = serial.layout.block_cols;
 
         // strips > workers: 2 workers over a maximally split plan.
@@ -296,7 +300,8 @@ proptest! {
         let pool = WorkerPool::new(2);
         let job = RegionJob { workers: 2, ..serial_job };
         let mut obs = Recorder::default();
-        let res = run_pooled_with_plan(&pool, &job, &mut obs, &fine).expect("no worker panic");
+        let opts = RunOpts { plan: Some(fine), ..Default::default() };
+        let res = run(&pool, &job, &mut obs, opts).expect("no worker panic");
         let stats = res.strip.clone().expect("strip stats present");
         prop_assert_eq!(stats.strips, bc);
         prop_assert_eq!(
@@ -313,8 +318,8 @@ proptest! {
             let pool = WorkerPool::new(8);
             let job = RegionJob { workers: 8, ..serial_job };
             let mut obs = Recorder::default();
-            let res =
-                run_pooled_with_plan(&pool, &job, &mut obs, &coarse).expect("no worker panic");
+            let opts = RunOpts { plan: Some(coarse), ..Default::default() };
+            let res = run(&pool, &job, &mut obs, opts).expect("no worker panic");
             let stats = res.strip.clone().expect("strip stats present");
             prop_assert_eq!(stats.strips, 2);
             prop_assert_eq!(stats.runner_blocks.len(), 2, "runners capped at strip count");
@@ -344,7 +349,8 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
+            .expect("no worker panic");
         prop_assert!(
             serial.paths.striped_total() > 0,
             "expected striped tiles with grid {:?} on {}x{}", grid, a.len(), b.len()
@@ -357,7 +363,7 @@ proptest! {
             let pool = WorkerPool::new(lanes);
             let job = RegionJob { workers: lanes, ..serial_job };
             let mut obs = Recorder::default();
-            let res = run_pooled(&pool, &job, &mut obs).expect("no worker panic");
+            let res = run(&pool, &job, &mut obs, RunOpts::default()).expect("no worker panic");
             prop_assert_eq!(res.best, serial.best, "best, lanes={}", lanes);
             prop_assert_eq!(res.cells, serial.cells, "cells, lanes={}", lanes);
             prop_assert_eq!(res.paths, serial.paths, "kernel paths, lanes={}", lanes);

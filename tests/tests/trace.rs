@@ -4,7 +4,10 @@
 
 use cudalign::config::{CheckpointPolicy, SraBackend};
 use cudalign::obs::validate_trace;
-use cudalign::{Obs, Pipeline, PipelineConfig, Progress, TraceWriter};
+use cudalign::{
+    Event, Obs, Pipeline, PipelineConfig, PipelineError, Progress, Recorder, RunControl,
+    TraceWriter,
+};
 use integration_tests::edited_pair;
 
 fn traced_run(cfg: PipelineConfig, a: &[u8], b: &[u8]) -> (String, cudalign::PipelineResult) {
@@ -62,7 +65,7 @@ fn resumed_trace_reports_resume_offset() {
         )
         .unwrap();
         let pool = gpu_sim::WorkerPool::new(cfg.workers);
-        let _ = cudalign::stage1::run_resumable(
+        let _ = cudalign::stage1::run(
             &a,
             &b,
             &cfg,
@@ -70,6 +73,8 @@ fn resumed_trace_reports_resume_offset() {
             &mut rows,
             None,
             Some((dir.as_path(), 9)),
+            &mut cudalign::Obs::new(),
+            &cudalign::RunControl::unlimited(),
         );
         std::mem::forget(rows);
     }
@@ -124,6 +129,48 @@ fn immediately_cancelled_run_traces_run_begin_plus_interrupt() {
     let first = text.lines().next().expect("non-empty trace");
     let rec = cudalign::obs::parse_json(first).expect("run_begin parses");
     assert_eq!(rec.get("ev").and_then(|v| v.str_val()), Some("run_begin"));
+}
+
+/// Cancels the run on the first stage-2 strip record, then counts the
+/// storage flushes that still arrive.
+struct CancelOnFirstStrip {
+    ctrl: RunControl,
+    cancelled: bool,
+    flushes_after_cancel: usize,
+}
+
+impl Recorder for CancelOnFirstStrip {
+    fn record(&mut self, _t: std::time::Duration, ev: &Event) {
+        match ev {
+            Event::Strip { stage: 2, .. } if !self.cancelled => {
+                self.ctrl.cancel();
+                self.cancelled = true;
+            }
+            Event::StorageFlush { .. } if self.cancelled => self.flushes_after_cancel += 1,
+            _ => {}
+        }
+    }
+}
+
+/// A cancel that lands as a stage-2 strip starts stops that strip's
+/// engine launch: the run unwinds as `Cancelled` instead of sweeping the
+/// whole strip and keeping its special columns first.
+#[test]
+fn stage2_cancel_stops_the_strip_in_flight() {
+    let (a, b) = edited_pair(74, 400, 19);
+    let ctrl = RunControl::unlimited();
+    let mut rec =
+        CancelOnFirstStrip { ctrl: ctrl.clone(), cancelled: false, flushes_after_cancel: 0 };
+    let err = {
+        let mut obs = Obs::new();
+        obs.add_recorder(&mut rec);
+        Pipeline::new(PipelineConfig::for_tests())
+            .align_supervised(&a, &b, &mut obs, &ctrl)
+            .expect_err("a cancelled run must not succeed")
+    };
+    assert!(rec.cancelled, "stage 2 must have started a strip");
+    assert_eq!(err, PipelineError::Cancelled { diagonal: 0 });
+    assert_eq!(rec.flushes_after_cancel, 0, "no stage-2 storage flush may follow the cancel");
 }
 
 /// CI hook: when `CUDALIGN_TRACE_FILE` points at a trace written by the

@@ -4,7 +4,7 @@
 
 use cudalign::{Pipeline, PipelineConfig, PipelineError};
 use gpu_sim::exec::fault;
-use gpu_sim::wavefront::{run_pooled, RegionJob};
+use gpu_sim::wavefront::{run, NoObserver, RegionJob, RunOpts};
 use gpu_sim::{BlockCoords, CellHE, CellHF, GridSpec, Mode, TileOutcome, WorkerPool};
 use integration_tests::edited_pair;
 use std::ops::ControlFlow;
@@ -67,18 +67,17 @@ fn observer_break_mid_diagonal_is_clean_and_pool_survives() {
     let (a, b) = edited_pair(31, 400, 13);
     let pool = WorkerPool::new(4);
 
-    let full =
-        run_pooled(&pool, &job(&a, &b), &mut gpu_sim::wavefront::NoObserver).expect("clean run");
+    let full = run(&pool, &job(&a, &b), &mut NoObserver, RunOpts::default()).expect("clean run");
     assert!(!full.aborted);
 
     let mut obs = BreakAfter { after: 3, seen: 0 };
-    let res = run_pooled(&pool, &job(&a, &b), &mut obs).expect("abort is not a panic");
+    let res = run(&pool, &job(&a, &b), &mut obs, RunOpts::default()).expect("abort is not a panic");
     assert!(res.aborted, "observer break must mark the launch aborted");
     assert!(res.diagonals_run < full.diagonals_run, "launch must stop early");
 
     // The pool took no damage: the same launch completes afterwards with
     // the same result as before the abort.
-    let again = run_pooled(&pool, &job(&a, &b), &mut gpu_sim::wavefront::NoObserver)
+    let again = run(&pool, &job(&a, &b), &mut NoObserver, RunOpts::default())
         .expect("pool reusable after abort");
     assert!(!again.aborted);
     assert_eq!(again.best, full.best);
