@@ -129,7 +129,7 @@ pub fn rules() -> &'static [RuleInfo] {
         },
         RuleInfo {
             id: NO_WALLCLOCK,
-            summary: "no Instant/SystemTime in gpu-sim kernel/wavefront/multi/exec hot paths \
+            summary: "no Instant/SystemTime in gpu-sim kernel/striped/wavefront/exec hot paths \
                       (stats structs exempt)",
         },
         RuleInfo {

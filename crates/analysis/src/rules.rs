@@ -28,7 +28,6 @@ const HOT_PATHS: &[&str] = &[
     "crates/gpu-sim/src/striped.rs",
     "crates/gpu-sim/src/striped8.rs",
     "crates/gpu-sim/src/wavefront.rs",
-    "crates/gpu-sim/src/multi.rs",
     "crates/gpu-sim/src/exec.rs",
 ];
 

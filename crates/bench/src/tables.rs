@@ -840,8 +840,9 @@ pub fn ablation_linear_space() {
 }
 
 /// Ablation: multi-device column splitting (the paper's dual-card future
-/// work). Results are verified identical to the single-card engine; the
-/// model projects paper-scale Stage-1 time per card count.
+/// work). Each card owns one strip of a balanced strip plan on a
+/// `cards`-lane pool; results are verified identical for every card
+/// count, and the model projects paper-scale Stage-1 time per card count.
 pub fn ablation_multigpu() {
     let w = chromosome_workload();
     let device = DeviceModel::gtx285();
@@ -859,11 +860,18 @@ pub fn ablation_multigpu() {
         workers: 0,
         watch: None,
     };
+    let bc = job.grid.layout(job.a.len(), job.b.len()).block_cols;
     let mut base_model = 0.0f64;
     let mut reference: Option<Option<(sw_core::Score, usize, usize)>> = None;
     for cards in [1usize, 2, 4] {
+        let pool = WorkerPool::new(cards);
+        let plan = gpu_sim::StripPlan::balanced(bc, cards);
+        // Each strip boundary carries one `H`/`E` pair per row.
+        let exchanged = job.a.len() as u64 * (plan.strips() as u64 - 1);
+        let opts = gpu_sim::wavefront::RunOpts { plan: Some(plan), ..Default::default() };
         let t = Instant::now();
-        let res = gpu_sim::multi::run_split(&job, cards);
+        let res = gpu_sim::wavefront::run(&pool, &job, &mut gpu_sim::NoObserver, opts)
+            .expect("no worker panic");
         let dt = t.elapsed().as_secs_f64();
         match &reference {
             None => reference = Some(res.best),
@@ -873,7 +881,7 @@ pub fn ablation_multigpu() {
         let model = device.multi_device_seconds(
             res.cells.saturating_mul(s2),
             cards,
-            res.exchanged_cells.saturating_mul(scale as u64) * 8,
+            exchanged.saturating_mul(scale as u64) * 8,
         );
         if cards == 1 {
             base_model = model;
@@ -881,7 +889,7 @@ pub fn ablation_multigpu() {
         r.row(&[
             cards.to_string(),
             secs(dt),
-            big(res.exchanged_cells),
+            big(exchanged),
             secs(model),
             format!("{:.2}x", base_model / model.max(1e-9)),
         ]);

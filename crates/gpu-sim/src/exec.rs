@@ -23,7 +23,7 @@
 //! scope to drain it pops queued jobs and runs them inline. A pool with
 //! one lane therefore executes everything on the caller, in spawn order —
 //! pooled execution with `workers = 1` is *observationally identical* to
-//! the old serial path, which is what the equivalence test suite pins.
+//! any wider pool, which is what the equivalence test suite pins.
 //!
 //! # Panics
 //!
@@ -292,8 +292,7 @@ pub struct Scope<'pool, 'env> {
 
 impl<'env> Scope<'_, 'env> {
     /// Queue `job` for execution on the pool. Jobs run in FIFO spawn
-    /// order across lanes (the order guarantee stage pipelines such as
-    /// [`crate::multi`] rely on for deadlock freedom).
+    /// order across lanes.
     pub fn spawn<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'env,
@@ -705,9 +704,9 @@ pub mod fault {
     static REORDER: super::AtomicU64 = super::AtomicU64::new(0);
 
     /// Arm the reorder fault: the wavefront engine performs block
-    /// `(r, c)`'s bus transactions one external diagonal early — before
-    /// the barrier that should order its neighbours' writes first — so
-    /// the race detector provably observes a violation. The phantom run
+    /// `(r, c)`'s bus transactions before any runner has written — ahead
+    /// of the neighbours whose writes it must follow — so the race
+    /// detector provably observes a violation. The phantom run
     /// touches only the detector's shadow state; engine output is
     /// unchanged. Requires `r > 0 && c > 0` (a border block has nothing
     /// to read early).

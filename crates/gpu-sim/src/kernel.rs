@@ -171,9 +171,9 @@ impl KernelPath {
     }
 }
 
-/// Per-path tile counters, threaded from every engine (serial/pooled
-/// wavefront, strip scheduler, multi-device split) through the pipeline
-/// stages into the run-level stats (`PipelineStats` in `cudalign`).
+/// Per-path tile counters, threaded from the wavefront engine through
+/// the pipeline stages into the run-level stats (`PipelineStats` in
+/// `cudalign`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathCounts {
     /// Tiles committed by the i8×32 kernel.

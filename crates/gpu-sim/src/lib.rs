@@ -28,24 +28,25 @@
 //!   (cancel flag + cause) polled cooperatively by every scheduler, with
 //!   the deadline watchdog living in [`exec`],
 //! * [`exec`] — the persistent worker-pool executor (the CPU analogue of
-//!   a persistent-kernel GPU design): long-lived threads, a queue/condvar
-//!   handoff per external diagonal, panic capture instead of process
-//!   aborts, and busy-lane utilization counters,
+//!   a persistent-kernel GPU design): long-lived threads, scoped and
+//!   pinned jobs, panic capture instead of process aborts, and busy-lane
+//!   utilization counters,
 //! * [`wavefront`] — the external-diagonal scheduler behind one entry
-//!   point, [`wavefront::run`] (serial or column-strip), with observer
-//!   hooks used by the pipeline to flush special rows and run matching
-//!   procedures,
+//!   point, [`wavefront::run`]: every launch runs a column-strip plan
+//!   (one strip per worker by default; a multi-card split — the paper's
+//!   dual-GPU future work — is a plan with one strip per card), with
+//!   observer hooks used by the pipeline to flush special rows and run
+//!   matching procedures,
 //! * [`device`] — the calibrated GTX 285 time model used to project
-//!   paper-scale runtimes from cell counts,
-//! * [`multi`] — column-split execution across several simulated cards
-//!   with counted border exchange (the paper's dual-GPU future work).
+//!   paper-scale runtimes from cell counts, including the multi-card
+//!   projection with counted border exchange.
 //!
 //! What is *not* simulated: warp-level mechanics (the short/long phase
 //! kernel split and the `alpha`-row memory access design) — these affect
 //! GPU throughput, not results; their cost shows up in the [`device`]
 //! model instead. Internal-diagonal parallelism *is* exploited, but as
 //! real CPU SIMD via [`striped`] rather than as simulation. The data-flow the algorithm depends on —
-//! bus hand-offs, block boundaries, diagonal-synchronous progress and the
+//! bus hand-offs, block boundaries, diagonal-ordered delivery and the
 //! minimum size requirement — is executed faithfully.
 
 pub mod ctrl;
@@ -53,7 +54,6 @@ pub mod device;
 pub mod exec;
 pub mod grid;
 pub mod kernel;
-pub mod multi;
 #[cfg(feature = "race-check")]
 pub mod race;
 pub mod striped;

@@ -3,8 +3,9 @@
 //! Compiled only with the `race-check` feature. The wavefront engine's
 //! correctness rests on one ordering argument: blocks of external
 //! diagonal `d` read bus cells written by blocks of diagonal `d - 1`, and
-//! the [`crate::exec::WorkerPool::scope`] drain between diagonals is the
-//! barrier that orders those writes before the reads. This module turns
+//! the column-strip protocol orders those writes before the reads —
+//! within a strip by the owning runner's row-major walk, across a strip
+//! boundary by the left strip's published-row counter. This module turns
 //! the argument into a runtime check:
 //!
 //! * Every bus cell (horizontal `H`/`F` bus, vertical `H`/`E` bus, and
@@ -17,13 +18,13 @@
 //!   `(r-1, c)` on diagonal `d-1` (or be border/restored state), the
 //!   vertical segment by `(r, c-1)`, the corner by `(r-1, c-1)` two
 //!   diagonals back. A mismatched identity is a [`ViolationKind::WrongProducer`];
-//!   a matching identity whose *barrier epoch* does not precede the
-//!   reader's is a [`ViolationKind::UnorderedRead`].
-//! * Two blocks writing one cell within the same barrier interval is a
+//!   a matching identity whose *epoch* does not precede the reader's
+//!   diagonal is a [`ViolationKind::UnorderedRead`].
+//! * A block on a strip's first column whose left strip has not yet
+//!   published the row it reads is an [`ViolationKind::UnorderedRead`]
+//!   too (the strip hand-off).
+//! * Two blocks writing one cell on the same diagonal is a
 //!   [`ViolationKind::WriteOverlap`] (the segment-splitting invariant).
-//! * The multi-device pipeline tags every border message with its
-//!   `(device, chunk)` provenance; a receiver observing the wrong tag
-//!   reports a [`ViolationKind::ChannelTag`].
 //!
 //! Striped-kernel writes need no special modelling: the lane-striped
 //! kernel (see [`crate::striped`]) is an implementation detail *inside*
@@ -88,13 +89,11 @@ impl fmt::Display for Source {
 pub enum ViolationKind {
     /// A cell's last writer is not the producer the grid schedule names.
     WrongProducer,
-    /// The producing write's barrier epoch does not precede the read.
+    /// The producing write's epoch does not precede the read, or a strip
+    /// hand-off was consumed before its publish.
     UnorderedRead,
-    /// Two blocks wrote one cell within the same barrier interval.
+    /// Two blocks wrote one cell on the same diagonal.
     WriteOverlap,
-    /// A multi-device border message arrived with the wrong
-    /// `(device, chunk)` provenance tag.
-    ChannelTag,
 }
 
 /// One detected violation, with a human-readable account.
@@ -102,11 +101,11 @@ pub enum ViolationKind {
 pub struct Violation {
     /// What rule was broken.
     pub kind: ViolationKind,
-    /// Block row of the reader (or receiving device).
+    /// Block row of the reader.
     pub r: usize,
-    /// Block column of the reader (or chunk index).
+    /// Block column of the reader.
     pub c: usize,
-    /// External diagonal of the reader (0 for channel violations).
+    /// External diagonal of the reader.
     pub diagonal: usize,
     /// Full account: cell, expected producer, observed record.
     pub detail: String,
@@ -132,31 +131,11 @@ pub fn take_report() -> Vec<Violation> {
     std::mem::take(&mut *sink())
 }
 
-/// Record a multi-device border tag mismatch (receiver expected the
-/// border of `(expect_device, expect_chunk)`, got `(got_device, got_chunk)`).
-pub fn report_channel_tag(
-    expect_device: usize,
-    expect_chunk: usize,
-    got_device: usize,
-    got_chunk: usize,
-) {
-    sink().push(Violation {
-        kind: ViolationKind::ChannelTag,
-        r: expect_device,
-        c: expect_chunk,
-        diagonal: 0,
-        detail: format!(
-            "border message tagged (device {got_device}, chunk {got_chunk}), \
-             expected (device {expect_device}, chunk {expect_chunk})"
-        ),
-    });
-}
-
 /// Last-writer record of one bus cell.
 #[derive(Debug, Clone, Copy)]
 struct WriteRec {
     source: Source,
-    /// Barrier epoch: `diagonal + 1` for block writes, the session's
+    /// Epoch: `diagonal + 1` for block writes, the session's
     /// resume diagonal for border/restored cells. A read on diagonal `d`
     /// is ordered iff the record's epoch is `<= d`.
     epoch: usize,
@@ -179,8 +158,8 @@ struct Inner {
     v: Vec<WriteRec>,
     /// Last writer per corner cell, `(block_rows+1) x (block_cols+1)`.
     corners: Vec<WriteRec>,
-    /// Column-strip plan boundaries when the strip scheduler drives this
-    /// session (empty = diagonal-barrier mode).
+    /// Strip boundaries of the plan the engine runs (length
+    /// `strips + 1`).
     strip_bounds: Vec<usize>,
     /// Shadow of each strip's published-row counter. A read that crosses
     /// a strip boundary must be covered by the left strip's publish; the
@@ -199,7 +178,17 @@ pub struct Session {
 impl Session {
     /// A session for a grid of `block_rows x block_cols` blocks over an
     /// `m x n` DP matrix, starting (or resuming) at diagonal `base`.
-    pub fn new(m: usize, n: usize, block_rows: usize, block_cols: usize, base: usize) -> Session {
+    /// `bounds` are the strip plan's boundaries (length `strips + 1`),
+    /// `published` the initial per-strip published-row counters (non-zero
+    /// after a resume, where checkpointed rows count as already handed
+    /// off).
+    pub fn new(
+        (m, n): (usize, usize),
+        (block_rows, block_cols): (usize, usize),
+        base: usize,
+        bounds: &[usize],
+        published: &[usize],
+    ) -> Session {
         let border = WriteRec { source: Source::Border, epoch: base, lane: 0, seq: 0 };
         Session {
             inner: Mutex::new(Inner {
@@ -209,20 +198,10 @@ impl Session {
                 h: vec![border; n],
                 v: vec![border; m],
                 corners: vec![border; (block_rows + 1) * (block_cols + 1)],
-                strip_bounds: Vec::new(),
-                strip_published: Vec::new(),
+                strip_bounds: bounds.to_vec(),
+                strip_published: published.to_vec(),
             }),
         }
-    }
-
-    /// Switch this session to the column-strip protocol: `bounds` are the
-    /// plan's strip boundaries (length `strips + 1`), `published` the
-    /// initial per-strip published-row counters (non-zero after a resume,
-    /// where checkpointed rows count as already handed off).
-    pub fn set_strip_plan(&self, bounds: &[usize], published: &[usize]) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.strip_bounds = bounds.to_vec();
-        inner.strip_published = published.to_vec();
     }
 
     /// Shadow a strip publish: rows `0..rows` of strip `s` are now
@@ -284,7 +263,7 @@ impl Session {
         // publishes rows covering `r + 1`. The shadow counter is updated
         // before the real one, so an uncovered read means the engine let a
         // consumer through before its producer's publish.
-        if !inner.strip_bounds.is_empty() && c > 0 && d > base {
+        if c > 0 && d > base {
             let s = inner.strip_bounds.iter().skip(1).position(|&b| c < b).unwrap_or(0);
             if s > 0 && inner.strip_bounds[s] == c {
                 let covered = inner.strip_published.get(s - 1).copied().unwrap_or(0);
@@ -353,9 +332,8 @@ impl Session {
 }
 
 /// The happens-before check for one cell read: last writer must be the
-/// scheduled producer, and its barrier epoch must precede the reader's
-/// diagonal (epoch `<= d` means the write was sealed by an earlier
-/// scope drain — the FIFO pool's barrier).
+/// scheduled producer, and its epoch must precede the reader's diagonal
+/// (epoch `<= d` means the write belongs to an earlier diagonal).
 #[allow(clippy::too_many_arguments)]
 fn check_read(
     pending: &mut Vec<Violation>,
@@ -385,8 +363,7 @@ fn check_read(
             c,
             diagonal: d,
             detail: format!(
-                "{bus}[{idx}] write by {} has epoch {} — not sealed by a barrier before \
-                 diagonal {d}",
+                "{bus}[{idx}] write by {} has epoch {} — not ordered before diagonal {d}",
                 rec.source, rec.epoch
             ),
         });
@@ -394,7 +371,7 @@ fn check_read(
 }
 
 /// The exclusivity check for one cell write: nobody else may have written
-/// it within the same barrier interval (same epoch).
+/// it on the same diagonal (same epoch).
 fn check_write(
     pending: &mut Vec<Violation>,
     bus: &str,
@@ -409,7 +386,7 @@ fn check_write(
             c: 0,
             diagonal: new.epoch.saturating_sub(1),
             detail: format!(
-                "{bus}[{idx}] written by both {} and {} within one barrier interval",
+                "{bus}[{idx}] written by both {} and {} on one diagonal",
                 old.source, new.source
             ),
         });

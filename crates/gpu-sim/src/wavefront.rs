@@ -5,28 +5,22 @@
 //! diagonal) and the vertical-bus segment written by the block to its left
 //! (also previous diagonal).
 //!
-//! Two schedulers implement that dependence structure:
+//! One scheduler implements that dependence structure, the column strip:
+//! each runner *owns* a contiguous strip of block-columns for the whole
+//! run ([`StripPlan`]), walking it row-major so tiles stay hot in one
+//! worker's cache. The only cross-strip dependence is the vertical bus /
+//! corner hand-off along the strip boundary, signalled point-to-point by
+//! a published-row counter per strip — several block rows are batched
+//! per publish ([`StripPlan::batch_rows`]) to amortize signalling, and
+//! there is no global barrier anywhere. When a plan has more strips than
+//! workers (ragged grids), runners that finish a strip steal the next
+//! unclaimed one, in ascending column order. The calling thread runs
+//! strip 0 and *delivers* finished blocks in canonical diagonal order, so
+//! results and observer events are the same for every plan and worker
+//! count. One worker (or one block column) is simply a one-strip plan;
+//! a multi-device column split is a plan with one strip per device.
 //!
-//! * **Serial** (one worker, or a single block column): walk diagonals in
-//!   order, execute each diagonal's blocks on the calling thread through
-//!   one run-wide query-profile cache, then commit results in block
-//!   order.
-//!
-//! * **Column-strip** (parallel runs): each worker *owns* a contiguous
-//!   strip of block-columns for the whole run ([`StripPlan`]), walking it
-//!   row-major so tiles stay hot in one worker's cache. The only
-//!   cross-strip dependence is the vertical bus / corner hand-off along
-//!   the strip boundary, signalled point-to-point by a published-row
-//!   counter per strip — several block rows are batched per publish
-//!   ([`StripPlan::batch_rows`]) to amortize signalling, and there is no
-//!   global barrier anywhere. When a plan has more strips than workers
-//!   (ragged grids), runners that finish a strip steal the next
-//!   unclaimed one, in ascending column order. The calling thread runs
-//!   strip 0 and *delivers* finished blocks in canonical diagonal order,
-//!   so observers see exactly the event stream of the serial engine and
-//!   results are bit-identical to it.
-//!
-//! Either way, every completed block is reported — sequentially, on the
+//! Every completed block is reported — sequentially, on the
 //! calling thread, in diagonal order — to the caller's
 //! [`WavefrontObserver`], which is how the pipeline flushes special rows
 //! (Stage 1) and runs goal-based matching with early abort (Stages 2-3).
@@ -81,8 +75,7 @@ pub trait WavefrontObserver {
 
     /// Called for strip-scheduler protocol events (claims, steals, border
     /// publishes), on the calling thread, interleaved with
-    /// [`WavefrontObserver::on_block`] deliveries. Serial runs emit none.
-    /// Default: ignore.
+    /// [`WavefrontObserver::on_block`] deliveries. Default: ignore.
     fn on_strip_event(&mut self, _event: &StripEvent) {}
 }
 
@@ -200,17 +193,17 @@ pub struct StripStats {
     pub runner_blocks: Vec<u64>,
 }
 
-/// Which scheduler produced an [`EngineState`] snapshot — provenance
+/// Which schedule produced an [`EngineState`] snapshot — provenance
 /// recorded in the checkpoint so a resumed run (possibly under a
 /// different worker count) can report where the snapshot came from.
 /// Resuming is schedule-independent: buses and counters mean the same
 /// thing either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleInfo {
-    /// Serial engine (one worker or one block column, and all checkpoints
-    /// written before strip scheduling existed).
+    /// A snapshot without a schedule tailer: written by the serial engine
+    /// of older releases. Kept so those checkpoints still decode.
     Serial,
-    /// Column-strip engine.
+    /// Column-strip engine (every snapshot written today).
     Strips {
         /// Strips in the plan that wrote the snapshot.
         strips: u32,
@@ -268,8 +261,8 @@ pub struct RegionResult {
     pub profile_hits: u64,
     /// Query-profile cache lookups that built a fresh band (this run).
     pub profile_misses: u64,
-    /// Strip-scheduler counters; `None` when the serial engine ran.
-    pub strip: Option<StripStats>,
+    /// Strip-scheduler counters.
+    pub strip: StripStats,
 }
 
 impl RegionResult {
@@ -289,16 +282,6 @@ impl RegionResult {
         }
         self.busy_slots as f64 / slots as f64
     }
-}
-
-struct Task<'buf, 'seq> {
-    coords: BlockCoords,
-    a_tile: &'seq [u8],
-    b_tile: &'seq [u8],
-    corner: Score,
-    hseg: &'buf mut [CellHF],
-    vseg: &'buf mut [CellHE],
-    outcome: Option<TileOutcome>,
 }
 
 /// Serializable execution state between two external diagonals — the
@@ -331,6 +314,44 @@ impl EngineState {
     /// resuming; [`run`] panics on a mismatch.
     pub fn matches(&self, job: &RegionJob<'_>) -> bool {
         self.fingerprint == Self::fingerprint_of(job)
+    }
+
+    /// The state before diagonal 0: the region's border buses and the
+    /// corner table they seed.
+    fn initial(job: &RegionJob<'_>, layout: &GridLayout) -> EngineState {
+        let (m, n) = (job.a.len(), job.b.len());
+        let (hbus, vbus, origin_h) = match job.mode {
+            Mode::Local => kernel::local_borders(m, n),
+            Mode::Global { origin } => kernel::global_borders(m, n, &job.scoring, origin),
+        };
+        // corners[r][c] = H at (row_end(r-1), col_end(c-1)); row/col 0
+        // hold the border values so block (r, c) always reads
+        // corners[r][c]. The origin corner is the origin's H seed —
+        // NEG_INF for reverse regions whose path must *begin* inside a
+        // gap run.
+        let (br, bc) = (layout.block_rows, layout.block_cols);
+        let mut corners = vec![0 as Score; (br + 1) * (bc + 1)];
+        corners[0] = origin_h;
+        for c in 0..bc {
+            let (_, ce) = layout.col_range(c);
+            corners[c + 1] = if ce == 0 { 0 } else { hbus[ce - 1].h };
+        }
+        for r in 0..br {
+            let (_, re) = layout.row_range(r);
+            corners[(r + 1) * (bc + 1)] = if re == 0 { 0 } else { vbus[re - 1].h };
+        }
+        EngineState {
+            fingerprint: Self::fingerprint_of(job),
+            next_diagonal: 0,
+            hbus,
+            vbus,
+            corners,
+            best: None,
+            cells: 0,
+            busy_slots: 0,
+            // Stamped with the launch's plan before any snapshot leaves.
+            schedule: ScheduleInfo::Serial,
+        }
     }
 
     fn fingerprint_of(job: &RegionJob<'_>) -> (u64, u64, u64, u64, u64) {
@@ -506,7 +527,7 @@ impl EngineState {
 }
 
 /// Optional inputs of a [`run`] launch. `RunOpts::default()` is a plain
-/// run: fresh start, no checkpoints, automatic scheduler choice, no
+/// run: fresh start, no checkpoints, a balanced strip plan, no
 /// cancellation.
 #[derive(Debug, Default)]
 pub struct RunOpts<'a> {
@@ -515,13 +536,12 @@ pub struct RunOpts<'a> {
     /// Deliver a snapshot to [`WavefrontObserver::on_checkpoint`] every
     /// this many external diagonals.
     pub checkpoint_every: Option<usize>,
-    /// Force the column-strip scheduler with this plan — including ragged
-    /// plans whose strip count exceeds the worker count, which exercises
-    /// whole-strip work stealing.
+    /// Run this strip plan instead of [`StripPlan::balanced`] — including
+    /// ragged plans whose strip count exceeds the worker count, which
+    /// exercises whole-strip work stealing.
     pub plan: Option<StripPlan>,
-    /// Supervision token, polled cooperatively: by the serial engine
-    /// between external diagonals, by the strip engine in its delivery
-    /// loop (which in turn wakes parked runners through the protocol
+    /// Supervision token, polled cooperatively by the delivery loop
+    /// (which in turn wakes parked runners through the protocol
     /// condvars). A cancelled launch first emits one final
     /// [`WavefrontObserver::on_checkpoint`] with the state at the last
     /// completed diagonal boundary (when checkpointing is enabled), so
@@ -538,9 +558,9 @@ pub struct RunOpts<'a> {
 /// diagonal order, so scheduling cannot change scores, endpoints, buses,
 /// or observer event order. The effective parallelism is
 /// `min(pool.lanes(), job.workers)` (with `job.workers == 0` meaning "no
-/// extra cap"), so a job built with `workers: 1` stays serial even on a
-/// wide pool — stage 3 relies on that to keep per-partition engines
-/// single-lane while partitions fan out.
+/// extra cap"), so a job built with `workers: 1` runs one strip on the
+/// calling thread even on a wide pool — stage 3 relies on that to keep
+/// per-partition engines single-lane while partitions fan out.
 ///
 /// # Panics
 /// Panics when `opts.resume` carries a fingerprint for a different job,
@@ -552,293 +572,7 @@ pub fn run(
     observer: &mut dyn WavefrontObserver,
     opts: RunOpts<'_>,
 ) -> Result<RegionResult, ExecError> {
-    let RunOpts { resume, checkpoint_every, plan, token } = opts;
-    let (m, n) = (job.a.len(), job.b.len());
-    let layout = job.grid.layout(m, n);
-    let local = job.mode.is_local();
-
-    let (mut hbus, mut vbus, origin_h) = match job.mode {
-        Mode::Local => kernel::local_borders(m, n),
-        Mode::Global { origin } => kernel::global_borders(m, n, &job.scoring, origin),
-    };
-
-    // corners[r][c] = H at (row_end(r-1), col_end(c-1)); row/col 0 hold the
-    // border values so block (r, c) always reads corners[r][c]. The origin
-    // corner is the origin's H seed — NEG_INF for reverse regions whose
-    // path must *begin* inside a gap run.
-    let (br, bc) = (layout.block_rows, layout.block_cols);
-    let mut corners = vec![0 as Score; (br + 1) * (bc + 1)];
-    corners[0] = origin_h;
-    for c in 0..bc {
-        let (_, ce) = layout.col_range(c);
-        corners[c + 1] = if ce == 0 { 0 } else { hbus[ce - 1].h };
-    }
-    for r in 0..br {
-        let (_, re) = layout.row_range(r);
-        corners[(r + 1) * (bc + 1)] = if re == 0 { 0 } else { vbus[re - 1].h };
-    }
-
-    // The pool fixes the lane count for the whole run; `job.workers` can
-    // only cap it further (0 = uncapped).
-    let workers = match job.workers {
-        0 => pool.lanes(),
-        w => w.min(pool.lanes()),
-    };
-
-    let mut best: Option<(Score, usize, usize)> = None;
-    let mut cells = 0u64;
-    let mut aborted = false;
-    let mut diagonals_run = 0usize;
-    let mut busy_slots = 0u64;
-    let mut paths = kernel::PathCounts::default();
-    let mut first_diagonal = 0usize;
-    // Serial execution walks a handful of band rows per diagonal and
-    // revisits them on the next, so one run-wide profile cache catches
-    // the reuse.
-    let mut profile_cache = crate::striped::ProfileCache::new();
-
-    if let Some(state) = resume {
-        assert_eq!(
-            state.fingerprint,
-            EngineState::fingerprint_of(job),
-            "checkpoint belongs to a different job"
-        );
-        hbus = state.hbus;
-        vbus = state.vbus;
-        corners = state.corners;
-        best = state.best;
-        cells = state.cells;
-        busy_slots = state.busy_slots;
-        first_diagonal = state.next_diagonal;
-    }
-
-    // One detector session per engine run: shadow last-writer state for
-    // every bus cell, checked against the grid's scheduled producers.
-    #[cfg(feature = "race-check")]
-    let race_session = crate::race::Session::new(m, n, br, bc, first_diagonal);
-
-    // Column-strip dispatch: an explicit plan forces the strip engine;
-    // otherwise it engages whenever more than one worker meets more than
-    // one block column (the only shape where scheduling matters). The
-    // serial fallback below also covers resume-at-end, which has no work.
-    let strip_plan = match plan {
-        Some(p) => {
-            assert!(
-                p.is_valid_for(bc),
-                "strip plan {:?} does not cover {bc} block column(s)",
-                p.bounds
-            );
-            Some(p)
-        }
-        None if workers > 1 && bc > 1 && first_diagonal < layout.diagonals() => {
-            Some(StripPlan::balanced(bc, workers))
-        }
-        None => None,
-    };
-    if let Some(plan) = strip_plan {
-        let params = strip::Params {
-            pool,
-            job,
-            layout: &layout,
-            plan: &plan,
-            workers,
-            first_diagonal,
-            checkpoint_every,
-            init_best: best,
-            init_cells: cells,
-            init_busy: busy_slots,
-            token,
-            #[cfg(feature = "race-check")]
-            race: &race_session,
-        };
-        return strip::run(params, observer, hbus, vbus, corners);
-    }
-
-    'diagonals: for d in first_diagonal..layout.diagonals() {
-        if token.is_some_and(CancelToken::is_cancelled) {
-            // Flush the boundary state (diagonals < d are complete, d has
-            // not started — a valid resume point) before stopping, so a
-            // cancelled run is always resumable.
-            if checkpoint_every.is_some() {
-                observer.on_checkpoint(&EngineState {
-                    fingerprint: EngineState::fingerprint_of(job),
-                    next_diagonal: d,
-                    hbus: hbus.clone(),
-                    vbus: vbus.clone(),
-                    corners: corners.clone(),
-                    best,
-                    cells,
-                    busy_slots,
-                    schedule: ScheduleInfo::Serial,
-                });
-            }
-            aborted = true;
-            break 'diagonals;
-        }
-        if let Some(every) = checkpoint_every {
-            if d > first_diagonal && (d - first_diagonal).is_multiple_of(every.max(1)) {
-                observer.on_checkpoint(&EngineState {
-                    fingerprint: EngineState::fingerprint_of(job),
-                    next_diagonal: d,
-                    hbus: hbus.clone(),
-                    vbus: vbus.clone(),
-                    corners: corners.clone(),
-                    best,
-                    cells,
-                    busy_slots,
-                    schedule: ScheduleInfo::Serial,
-                });
-            }
-        }
-        let blocks: Vec<(usize, usize)> = layout.diagonal_blocks(d).collect();
-
-        // Seeded reorder fault: perform the target block's bus reads and
-        // writes one diagonal EARLY — before the barrier that orders its
-        // neighbours' diagonal-d writes. The phantom touches only the
-        // detector's shadow state (engine output is byte-identical); the
-        // detector must flag its reads as wrong-producer.
-        #[cfg(feature = "race-check")]
-        if let Some((pr, pc)) = crate::exec::fault::reorder_block() {
-            if d + 1 == pr + pc && pr < br && pc < bc {
-                let (rs, re) = layout.row_range(pr);
-                let (cs, ce) = layout.col_range(pc);
-                let width = (ce + 1).saturating_sub(cs);
-                let height = (re + 1).saturating_sub(rs);
-                race_session.block_reads(pr, pc, d + 1, (cs - 1, width), (rs - 1, height));
-                race_session.block_writes(pr, pc, d + 1, (cs - 1, width), (rs - 1, height), true);
-            }
-        }
-
-        // Hand out disjoint bus segments. Blocks arrive in ascending `c`
-        // (descending `r`), so the horizontal bus is split left-to-right
-        // and the vertical bus back-to-front.
-        let mut tasks: Vec<Task<'_, '_>> = Vec::with_capacity(blocks.len());
-        {
-            let mut h_rest: &mut [CellHF] = &mut hbus;
-            let mut h_off = 0usize;
-            let mut v_rest: &mut [CellHE] = &mut vbus;
-
-            for &(r, c) in &blocks {
-                let (rs, re) = layout.row_range(r);
-                let (cs, ce) = layout.col_range(c);
-                // Ranges are inclusive; degenerate regions yield re < rs.
-                let width = (ce + 1).saturating_sub(cs);
-                let height = (re + 1).saturating_sub(rs);
-
-                // Horizontal segment [cs-1, cs-1+width) in absolute indices;
-                // block columns ascend along the diagonal, so split forward.
-                let skip = (cs - 1) - h_off;
-                let (_, rest) = h_rest.split_at_mut(skip);
-                let (hseg, rest) = rest.split_at_mut(width);
-                h_rest = rest;
-                h_off = cs - 1 + width;
-
-                // Vertical segment [rs-1, rs-1+height): block rows descend
-                // contiguously along the diagonal, so split from the back.
-                let (rest, _tail) = v_rest.split_at_mut(rs - 1 + height);
-                let (rest, vseg) = rest.split_at_mut(rs - 1);
-                v_rest = rest;
-
-                let coords = BlockCoords {
-                    r,
-                    c,
-                    diagonal: d,
-                    rows: (rs, re),
-                    cols: (cs, ce),
-                    last_block_row: r + 1 == br,
-                    last_block_col: c + 1 == bc,
-                };
-                tasks.push(Task {
-                    coords,
-                    a_tile: &job.a[rs - 1..re],
-                    b_tile: &job.b[cs - 1..ce],
-                    corner: corners[r * (bc + 1) + c],
-                    hseg,
-                    vseg,
-                    outcome: None,
-                });
-            }
-        }
-
-        // Execute the diagonal serially, through the run-wide profile
-        // cache. (More than one worker over more than one block column
-        // took the strip engine above; a single block column puts one
-        // block on each diagonal.)
-        for t in tasks.iter_mut() {
-            #[cfg(feature = "race-check")]
-            race_session.block_reads(
-                t.coords.r,
-                t.coords.c,
-                t.coords.diagonal,
-                (t.coords.cols.0 - 1, t.hseg.len()),
-                (t.coords.rows.0 - 1, t.vseg.len()),
-            );
-            let out = kernel::compute_tile_cached(
-                t.a_tile,
-                t.b_tile,
-                t.coords.rows.0,
-                t.coords.cols.0,
-                &job.scoring,
-                local,
-                job.watch,
-                t.corner,
-                t.hseg,
-                t.vseg,
-                &mut profile_cache,
-            );
-            #[cfg(feature = "race-check")]
-            race_session.block_writes(
-                t.coords.r,
-                t.coords.c,
-                t.coords.diagonal,
-                (t.coords.cols.0 - 1, t.hseg.len()),
-                (t.coords.rows.0 - 1, t.vseg.len()),
-                false,
-            );
-            t.outcome = Some(out);
-        }
-
-        diagonals_run += 1;
-        busy_slots += tasks.len() as u64;
-
-        // Commit results and notify the observer, in block order.
-        for t in tasks.iter_mut() {
-            // lint: allow(no-panics): the loop above computed every task
-            // of this diagonal before any is committed.
-            let out = t.outcome.expect("task executed");
-            cells += out.cells;
-            paths.count(out.path);
-            if let Some(cand) = out.best {
-                if best.is_none_or(|b| better_endpoint(cand, b)) {
-                    best = Some(cand);
-                }
-            }
-            let (r, c) = (t.coords.r, t.coords.c);
-            corners[(r + 1) * (bc + 1) + (c + 1)] = out.corner_out;
-            if observer.on_block(&t.coords, &out, t.hseg, t.vseg).is_break() {
-                aborted = true;
-                break;
-            }
-        }
-        if aborted {
-            break 'diagonals;
-        }
-    }
-
-    Ok(RegionResult {
-        best,
-        cells,
-        diagonals_run,
-        aborted,
-        busy_slots,
-        hbus,
-        vbus,
-        layout,
-        paths,
-        profile_hits: profile_cache.hits(),
-        profile_misses: profile_cache.misses(),
-        strip: None,
-    })
+    strip::run(pool, job, observer, opts)
 }
 
 /// The column-strip scheduler: persistent strip ownership, point-to-point
@@ -862,8 +596,8 @@ pub fn run(
 ///   the consumer's reads.
 /// * The calling thread is runner 0 *and* the deliverer: it drains
 ///   finished blocks in canonical diagonal order, applies them to shadow
-///   ("checkpoint") buses, and invokes the observer — byte-identically to
-///   the serial engine. Runners may race ahead of delivery only within a
+///   ("checkpoint") buses, and invokes the observer, so the event stream
+///   is the same for every plan. Runners may race ahead of delivery only within a
 ///   bounded lead window once every strip is claimed, which caps the
 ///   memory held by finished-but-undelivered borders.
 ///
@@ -873,33 +607,13 @@ pub fn run(
 /// point), so on abort the live buses would reflect blocks *past* the
 /// abort point. The deliverer therefore maintains its own copies, updated
 /// strictly in delivery order; results and checkpoints are built from
-/// those, making aborted and checkpointed states bit-identical to the
-/// serial engine's.
+/// those, making aborted and checkpointed states independent of the plan.
 mod strip {
     use super::*;
     use std::collections::HashMap;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::{Condvar, Mutex, MutexGuard};
     use std::time::Duration;
-
-    /// Inputs of one strip launch (everything but the observer and the
-    /// live buses, which move separately for borrow-checking reasons).
-    pub(super) struct Params<'a, 'j> {
-        pub pool: &'a WorkerPool,
-        pub job: &'a RegionJob<'j>,
-        pub layout: &'a GridLayout,
-        pub plan: &'a StripPlan,
-        pub workers: usize,
-        pub first_diagonal: usize,
-        pub checkpoint_every: Option<usize>,
-        pub init_best: Option<(Score, usize, usize)>,
-        pub init_cells: u64,
-        pub init_busy: u64,
-        /// Supervision token polled by the delivery loop.
-        pub token: Option<&'a CancelToken>,
-        #[cfg(feature = "race-check")]
-        pub race: &'a crate::race::Session,
-    }
 
     /// Raw shared view of one live bus (or the corner table).
     ///
@@ -1287,39 +1001,88 @@ mod strip {
         alive
     }
 
-    /// The deliverer's walk through the canonical (serial) block order.
-    struct DeliverCursor {
+    /// The deliverer: its walk through the canonical diagonal block order
+    /// and the shadow state it applies finished blocks to.
+    struct Deliverer {
         d: usize,
-        total_diagonals: usize,
         blocks: Vec<(usize, usize)>,
         i: usize,
         /// Blocks of diagonals `>= first_diagonal` not yet delivered.
         remaining: usize,
+        /// Shadow state: buses, corners and counters through the
+        /// delivered blocks. Between diagonals it is a resume point.
+        state: EngineState,
+        checkpoint_every: Option<usize>,
+        /// Copy of `state` at the last diagonal boundary, flushed when a
+        /// cancel lands (only kept when checkpointing under a token).
+        cancel_snap: Option<EngineState>,
+        diagonals_run: usize,
+        paths: PathCounts,
     }
 
     pub(super) fn run(
-        p: Params<'_, '_>,
+        pool: &WorkerPool,
+        job: &RegionJob<'_>,
         observer: &mut dyn WavefrontObserver,
-        mut hbus: Vec<CellHF>,
-        mut vbus: Vec<CellHE>,
-        mut corners: Vec<Score>,
+        opts: RunOpts<'_>,
     ) -> Result<RegionResult, ExecError> {
-        let layout = *p.layout;
+        let RunOpts { resume, checkpoint_every, plan, token } = opts;
+        let layout = job.grid.layout(job.a.len(), job.b.len());
         let (br, bc) = (layout.block_rows, layout.block_cols);
-        let strips = p.plan.strips();
-        let fd = p.first_diagonal;
-        let total_diagonals = layout.diagonals();
+        let mut state = match resume {
+            Some(state) => {
+                assert_eq!(
+                    state.fingerprint,
+                    EngineState::fingerprint_of(job),
+                    "checkpoint belongs to a different job"
+                );
+                state
+            }
+            None => EngineState::initial(job, &layout),
+        };
+        // The pool fixes the lane count for the whole run; `job.workers`
+        // can only cap it further (0 = uncapped).
+        let workers = match job.workers {
+            0 => pool.lanes(),
+            w => w.min(pool.lanes()),
+        };
+        // Without an explicit plan the block columns split evenly over the
+        // workers: one worker or one block column is a one-strip plan.
+        let plan = match plan {
+            Some(p) => {
+                assert!(
+                    p.is_valid_for(bc),
+                    "strip plan {:?} does not cover {bc} block column(s)",
+                    p.bounds
+                );
+                p
+            }
+            None => StripPlan::balanced(bc, workers),
+        };
+        let strips = plan.strips();
+        state.schedule =
+            ScheduleInfo::Strips { strips: strips as u32, batch_rows: plan.batch_rows as u32 };
+        let fd = state.next_diagonal;
         // One runner per strip at most; the caller is runner 0.
-        let runners = p.workers.min(strips).max(1);
+        let runners = workers.min(strips).max(1);
 
         // Resume frontier: rows of each strip already covered by the
         // checkpoint count as published (row `r` of strip `s` is restored
         // iff even its last column's diagonal precedes the resume point).
         let published: Vec<usize> =
-            (0..strips).map(|s| fd.saturating_sub(p.plan.bounds[s + 1] - 1).min(br)).collect();
+            (0..strips).map(|s| fd.saturating_sub(plan.bounds[s + 1] - 1).min(br)).collect();
 
+        // One detector session per engine run: shadow last-writer state
+        // for every bus cell, checked against the grid's scheduled
+        // producers and the strip hand-off counters.
         #[cfg(feature = "race-check")]
-        p.race.set_strip_plan(&p.plan.bounds, &published);
+        let race = crate::race::Session::new(
+            (job.a.len(), job.b.len()),
+            (br, bc),
+            fd,
+            &plan.bounds,
+            &published,
+        );
 
         // Seeded reorder fault (race-check): replay the armed block's bus
         // transactions before any runner has written anything — the strip
@@ -1331,46 +1094,25 @@ mod strip {
                 let (cs, ce) = layout.col_range(pc);
                 let width = (ce + 1).saturating_sub(cs);
                 let height = (re + 1).saturating_sub(rs);
-                p.race.block_reads(pr, pc, pr + pc, (cs - 1, width), (rs - 1, height));
-                p.race.block_writes(pr, pc, pr + pc, (cs - 1, width), (rs - 1, height), true);
+                race.block_reads(pr, pc, pr + pc, (cs - 1, width), (rs - 1, height));
+                race.block_writes(pr, pc, pr + pc, (cs - 1, width), (rs - 1, height), true);
             }
         }
 
-        // Shadow buses: the deliverer's diagonal-ordered view (see the
-        // module docs). Cloned before the raw views are taken.
-        let mut ck_hbus = hbus.clone();
-        let mut ck_vbus = vbus.clone();
-        let mut ck_corners = corners.clone();
-
-        // Cancellation checkpoint: the ck buses are a valid resume point
-        // only *between* diagonals (mid-diagonal they hold a partially
-        // applied frontier), so the deliverer refreshes this snapshot at
-        // every diagonal boundary and flushes it when a cancel lands.
-        let mut cancel_snap: Option<EngineState> = match (p.token, p.checkpoint_every) {
-            (Some(_), Some(_)) => Some(EngineState {
-                fingerprint: EngineState::fingerprint_of(p.job),
-                next_diagonal: fd,
-                hbus: ck_hbus.clone(),
-                vbus: ck_vbus.clone(),
-                corners: ck_corners.clone(),
-                best: p.init_best,
-                cells: p.init_cells,
-                busy_slots: p.init_busy,
-                schedule: ScheduleInfo::Strips {
-                    strips: strips as u32,
-                    batch_rows: p.plan.batch_rows as u32,
-                },
-            }),
-            _ => None,
-        };
+        // Live buses: the runners' working copies, written out of
+        // diagonal order (see the module docs for why `state` stays the
+        // deliverer's).
+        let mut hbus = state.hbus.clone();
+        let mut vbus = state.vbus.clone();
+        let mut corners = state.corners.clone();
 
         let shared = Shared {
-            job: p.job,
+            job,
             layout: &layout,
-            plan: p.plan,
-            local: p.job.mode.is_local(),
+            plan: &plan,
+            local: job.mode.is_local(),
             first_diagonal: fd,
-            lead: bc + 8 * p.plan.batch_rows,
+            lead: bc + 8 * plan.batch_rows,
             strips,
             hbus: RawBus::new(&mut hbus),
             vbus: RawBus::new(&mut vbus),
@@ -1398,35 +1140,30 @@ mod strip {
             cv_work: Condvar::new(),
             cv_done: Condvar::new(),
             #[cfg(feature = "race-check")]
-            race: p.race,
+            race: &race,
         };
 
-        let mut best = p.init_best;
-        let mut cells = p.init_cells;
-        let mut busy_slots = p.init_busy;
-        let mut diagonals_run = 0usize;
-        let mut paths = kernel::PathCounts::default();
+        let total_diagonals = layout.diagonals();
+        let mut del = Deliverer {
+            d: fd,
+            blocks: layout.diagonal_blocks(fd).collect(),
+            i: 0,
+            remaining: (fd..total_diagonals).map(|d| layout.diagonal_blocks(d).count()).sum(),
+            // A cancelled launch flushes the state at the last diagonal
+            // boundary, so cancellation is always resumable.
+            cancel_snap: (token.is_some() && checkpoint_every.is_some()).then(|| state.clone()),
+            state,
+            checkpoint_every,
+            diagonals_run: 0,
+            paths: PathCounts::default(),
+        };
         let mut aborted = false;
         // The calling thread is runner 0; its profile cache lives out
         // here so its traffic can be folded in after the scope settles.
         let mut cache0 = crate::striped::ProfileCache::new();
 
-        let remaining: usize =
-            (fd..total_diagonals).map(|d| layout.diagonal_blocks(d).count()).sum();
-        let mut dc = DeliverCursor {
-            d: fd,
-            total_diagonals,
-            blocks: if fd < total_diagonals {
-                layout.diagonal_blocks(fd).collect()
-            } else {
-                Vec::new()
-            },
-            i: 0,
-            remaining,
-        };
-
         let sh = &shared;
-        let scope_result = p.pool.scope(|scope| {
+        let scope_result = pool.scope(|scope| {
             // lint: allow(cancel-coverage): bounded spawn fan-out, one pinned task per runner
             for runner in 1..runners {
                 scope.spawn_pinned(move || runner_loop(sh, runner));
@@ -1436,38 +1173,23 @@ mod strip {
             // so catch, cancel, then re-raise.
             let body = catch_unwind(AssertUnwindSafe(|| {
                 let mut cur: Option<Cursor> = Some(home_cursor(sh, 0));
-                while dc.remaining > 0 {
+                while del.remaining > 0 {
                     // 0) Cancellation: flush the boundary snapshot so the
                     //    run stays resumable, then tear down (the scope
                     //    epilogue below wakes every parked runner).
-                    if p.token.is_some_and(CancelToken::is_cancelled) {
-                        if let Some(snap) = cancel_snap.take() {
+                    if token.is_some_and(CancelToken::is_cancelled) {
+                        if let Some(snap) = del.cancel_snap.take() {
                             observer.on_checkpoint(&snap);
                         }
                         aborted = true;
                         break;
                     }
                     // 1) Deliver everything ready, in canonical order.
-                    let flow = deliver_ready(
-                        sh,
-                        &p,
-                        observer,
-                        &mut dc,
-                        &mut ck_hbus,
-                        &mut ck_vbus,
-                        &mut ck_corners,
-                        &mut best,
-                        &mut cells,
-                        &mut busy_slots,
-                        &mut diagonals_run,
-                        &mut paths,
-                        &mut cancel_snap,
-                    );
-                    if flow.is_break() {
+                    if del.deliver_ready(sh, observer).is_break() {
                         aborted = true;
                         break;
                     }
-                    if dc.remaining == 0 {
+                    if del.remaining == 0 {
                         break;
                     }
                     if scope.panicked() {
@@ -1484,7 +1206,8 @@ mod strip {
                     //    completions (timeout bounds the wait so runner
                     //    panics and publish-only progress are noticed).
                     let co = sh.lock();
-                    let next_ready = dc.blocks.get(dc.i).is_some_and(|rc| co.done.contains_key(rc));
+                    let next_ready =
+                        del.blocks.get(del.i).is_some_and(|rc| co.done.contains_key(rc));
                     if !next_ready && co.events.is_empty() && !co.cancel {
                         drop(
                             sh.cv_done
@@ -1516,7 +1239,7 @@ mod strip {
         let co = shared.lock();
         let stats = StripStats {
             strips,
-            batch_rows: p.plan.batch_rows,
+            batch_rows: plan.batch_rows,
             steals: co.steals,
             batches_published: co.batches,
             runner_blocks: co.blocks.clone(),
@@ -1529,7 +1252,7 @@ mod strip {
         // Cancelled teardown: park a diagnostic snapshot of the protocol
         // counters in the token, so an interrupted run can report where
         // each strip stopped.
-        if let Some(t) = p.token {
+        if let Some(t) = token {
             if t.is_cancelled() {
                 t.set_strip_diag(StripDiag {
                     published: co.published.clone(),
@@ -1541,138 +1264,112 @@ mod strip {
         }
         drop(co);
 
+        let state = del.state;
         Ok(RegionResult {
-            best,
-            cells,
-            diagonals_run,
+            best: state.best,
+            cells: state.cells,
+            diagonals_run: del.diagonals_run,
             aborted,
-            busy_slots,
-            hbus: ck_hbus,
-            vbus: ck_vbus,
+            busy_slots: state.busy_slots,
+            hbus: state.hbus,
+            vbus: state.vbus,
             layout,
-            paths,
+            paths: del.paths,
             profile_hits,
             profile_misses,
-            strip: Some(stats),
+            strip: stats,
         })
     }
 
-    /// Deliver every finished block at the canonical frontier: apply it
-    /// to the shadow buses, update counters, notify the observer.
-    /// Returns `Break` when the observer aborts the launch.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_ready(
-        sh: &Shared<'_, '_>,
-        p: &Params<'_, '_>,
-        observer: &mut dyn WavefrontObserver,
-        dc: &mut DeliverCursor,
-        ck_hbus: &mut [CellHF],
-        ck_vbus: &mut [CellHE],
-        ck_corners: &mut [Score],
-        best: &mut Option<(Score, usize, usize)>,
-        cells: &mut u64,
-        busy_slots: &mut u64,
-        diagonals_run: &mut usize,
-        paths: &mut kernel::PathCounts,
-        cancel_snap: &mut Option<EngineState>,
-    ) -> ControlFlow<()> {
-        let layout = sh.layout;
-        let (br, bc) = (layout.block_rows, layout.block_cols);
-        // lint: allow(cancel-coverage): delivers only already-completed blocks and returns Continue when one is not
-        // ready; the caller's delivery loop polls the cancel token every round
-        loop {
-            // Forward protocol events as they surface.
-            let events = std::mem::take(&mut sh.lock().events);
-            for ev in &events {
-                observer.on_strip_event(ev);
-            }
-            if dc.remaining == 0 {
-                return ControlFlow::Continue(());
-            }
-            if dc.i == dc.blocks.len() {
-                // Diagonal complete: advance the frontier and refill.
-                dc.d += 1;
-                if dc.d >= dc.total_diagonals {
+    impl Deliverer {
+        /// Deliver every finished block at the canonical frontier: apply
+        /// it to the shadow state, notify the observer. Returns `Break`
+        /// when the observer aborts the launch.
+        fn deliver_ready(
+            &mut self,
+            sh: &Shared<'_, '_>,
+            observer: &mut dyn WavefrontObserver,
+        ) -> ControlFlow<()> {
+            let layout = sh.layout;
+            let (br, bc) = (layout.block_rows, layout.block_cols);
+            // lint: allow(cancel-coverage): delivers only already-completed blocks and returns Continue when one is not
+            // ready; the caller's delivery loop polls the cancel token every round
+            loop {
+                // Forward protocol events as they surface.
+                let events = std::mem::take(&mut sh.lock().events);
+                for ev in &events {
+                    observer.on_strip_event(ev);
+                }
+                if self.remaining == 0 {
                     return ControlFlow::Continue(());
                 }
-                dc.blocks = layout.diagonal_blocks(dc.d).collect();
-                dc.i = 0;
-                let mut co = sh.lock();
-                co.front = dc.d;
-                drop(co);
-                sh.cv_work.notify_all();
-                continue;
-            }
-            let (r, c) = dc.blocks[dc.i];
-            let Some(done) = sh.lock().done.remove(&(r, c)) else {
-                return ControlFlow::Continue(());
-            };
-            if dc.i == 0 {
-                // First delivery of this diagonal: checkpoint (state
-                // through the previous diagonal), then count it — the
-                // exact order of the serial engine.
-                if let Some(every) = p.checkpoint_every {
-                    if dc.d > p.first_diagonal
-                        && (dc.d - p.first_diagonal).is_multiple_of(every.max(1))
+                if self.i == self.blocks.len() {
+                    // Diagonal complete: advance the frontier and refill.
+                    self.d += 1;
+                    self.blocks = layout.diagonal_blocks(self.d).collect();
+                    self.i = 0;
+                    sh.lock().front = self.d;
+                    sh.cv_work.notify_all();
+                    continue;
+                }
+                let (r, c) = self.blocks[self.i];
+                let Some(done) = sh.lock().done.remove(&(r, c)) else {
+                    return ControlFlow::Continue(());
+                };
+                let st = &mut self.state;
+                if self.i == 0 {
+                    // First delivery of this diagonal: the shadow state
+                    // holds exactly diagonals `< d` — a resume boundary.
+                    // Checkpoint it, refresh the cancellation snapshot,
+                    // then count the diagonal.
+                    st.next_diagonal = self.d;
+                    let since = self.d - sh.first_diagonal;
+                    if self
+                        .checkpoint_every
+                        .is_some_and(|e| since > 0 && since.is_multiple_of(e.max(1)))
                     {
-                        observer.on_checkpoint(&EngineState {
-                            fingerprint: EngineState::fingerprint_of(p.job),
-                            next_diagonal: dc.d,
-                            hbus: ck_hbus.to_vec(),
-                            vbus: ck_vbus.to_vec(),
-                            corners: ck_corners.to_vec(),
-                            best: *best,
-                            cells: *cells,
-                            busy_slots: *busy_slots,
-                            schedule: ScheduleInfo::Strips {
-                                strips: sh.strips as u32,
-                                batch_rows: sh.plan.batch_rows as u32,
-                            },
-                        });
+                        observer.on_checkpoint(st);
+                    }
+                    if let Some(snap) = self.cancel_snap.as_mut() {
+                        snap.next_diagonal = self.d;
+                        snap.hbus.copy_from_slice(&st.hbus);
+                        snap.vbus.copy_from_slice(&st.vbus);
+                        snap.corners.copy_from_slice(&st.corners);
+                        snap.best = st.best;
+                        snap.cells = st.cells;
+                        snap.busy_slots = st.busy_slots;
+                    }
+                    self.diagonals_run += 1;
+                    st.busy_slots += self.blocks.len() as u64;
+                }
+                let (rs, re) = layout.row_range(r);
+                let (cs, ce) = layout.col_range(c);
+                let width = (ce + 1).saturating_sub(cs);
+                let height = (re + 1).saturating_sub(rs);
+                st.hbus[cs - 1..cs - 1 + width].copy_from_slice(&done.bottom);
+                st.vbus[rs - 1..rs - 1 + height].copy_from_slice(&done.right);
+                st.corners[(r + 1) * (bc + 1) + (c + 1)] = done.outcome.corner_out;
+                st.cells += done.outcome.cells;
+                self.paths.count(done.outcome.path);
+                if let Some(cand) = done.outcome.best {
+                    if st.best.is_none_or(|b| better_endpoint(cand, b)) {
+                        st.best = Some(cand);
                     }
                 }
-                // The ck buses hold exactly the state through diagonal
-                // `dc.d - 1` right now — the last valid resume boundary.
-                // Refresh the cancellation snapshot from it.
-                if let Some(snap) = cancel_snap.as_mut() {
-                    snap.next_diagonal = dc.d;
-                    snap.hbus.copy_from_slice(ck_hbus);
-                    snap.vbus.copy_from_slice(ck_vbus);
-                    snap.corners.copy_from_slice(ck_corners);
-                    snap.best = *best;
-                    snap.cells = *cells;
-                    snap.busy_slots = *busy_slots;
+                let coords = BlockCoords {
+                    r,
+                    c,
+                    diagonal: self.d,
+                    rows: (rs, re),
+                    cols: (cs, ce),
+                    last_block_row: r + 1 == br,
+                    last_block_col: c + 1 == bc,
+                };
+                self.i += 1;
+                self.remaining -= 1;
+                if observer.on_block(&coords, &done.outcome, &done.bottom, &done.right).is_break() {
+                    return ControlFlow::Break(());
                 }
-                *diagonals_run += 1;
-                *busy_slots += dc.blocks.len() as u64;
-            }
-            let (rs, re) = layout.row_range(r);
-            let (cs, ce) = layout.col_range(c);
-            let width = (ce + 1).saturating_sub(cs);
-            let height = (re + 1).saturating_sub(rs);
-            ck_hbus[cs - 1..cs - 1 + width].copy_from_slice(&done.bottom);
-            ck_vbus[rs - 1..rs - 1 + height].copy_from_slice(&done.right);
-            ck_corners[(r + 1) * (bc + 1) + (c + 1)] = done.outcome.corner_out;
-            *cells += done.outcome.cells;
-            paths.count(done.outcome.path);
-            if let Some(cand) = done.outcome.best {
-                if best.is_none_or(|b| better_endpoint(cand, b)) {
-                    *best = Some(cand);
-                }
-            }
-            let coords = BlockCoords {
-                r,
-                c,
-                diagonal: dc.d,
-                rows: (rs, re),
-                cols: (cs, ce),
-                last_block_row: r + 1 == br,
-                last_block_col: c + 1 == bc,
-            };
-            dc.i += 1;
-            dc.remaining -= 1;
-            if observer.on_block(&coords, &done.outcome, &done.bottom, &done.right).is_break() {
-                return ControlFlow::Break(());
             }
         }
     }
@@ -1687,7 +1384,7 @@ mod tests {
 
     const SC: Scoring = Scoring::paper();
 
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
+    pub(super) fn lcg(seed: u64, len: usize) -> Vec<u8> {
         let mut x = seed | 1;
         (0..len)
             .map(|_| {
@@ -1866,19 +1563,9 @@ mod tests {
 
 #[cfg(test)]
 mod utilization_tests {
-    use super::tests::solo;
+    use super::tests::{lcg, solo};
     use super::*;
     use sw_core::transcript::EdgeState as ES;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
 
     /// Tall grids (many block rows, few block columns) keep nearly every
     /// slot busy — the property cells delegation provides on the GPU.
@@ -1923,21 +1610,108 @@ mod utilization_tests {
     }
 }
 
+/// A multi-device column split — the paper's dual-card future work — is
+/// a balanced strip plan with one strip per device on a `devices`-lane
+/// pool; it must reproduce the one-device run exactly.
 #[cfg(test)]
-mod resume_tests {
-    use super::tests::{solo, solo_with};
+mod device_split_tests {
+    use super::tests::{lcg, solo};
     use super::*;
+    use sw_core::full::sw_local_score;
     use sw_core::transcript::EdgeState as ES;
 
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
+    fn job<'a>(a: &'a [u8], b: &'a [u8], mode: Mode) -> RegionJob<'a> {
+        RegionJob {
+            a,
+            b,
+            scoring: Scoring::paper(),
+            mode,
+            grid: GridSpec::small(),
+            workers: 1,
+            watch: None,
+        }
     }
+
+    fn split(j: &RegionJob<'_>, devices: usize) -> RegionResult {
+        let plan = StripPlan::balanced(j.grid.layout(j.a.len(), j.b.len()).block_cols, devices);
+        let opts = RunOpts { plan: Some(plan), ..Default::default() };
+        let j = RegionJob { workers: devices, ..*j };
+        run(&WorkerPool::new(devices), &j, &mut NoObserver, opts).expect("no worker panic")
+    }
+
+    #[test]
+    fn split_matches_single_device_local() {
+        let a = lcg(1, 400);
+        let mut b = lcg(1, 400);
+        for i in (3..b.len()).step_by(29) {
+            b[i] = b"ACGT"[i % 4];
+        }
+        let j = job(&a, &b, Mode::Local);
+        let single = solo(&j);
+        let (score, end) = sw_local_score(&a, &b, &j.scoring);
+        assert_eq!(single.best, Some((score, end.0, end.1)));
+        for devices in [1usize, 2, 3, 5] {
+            let multi = split(&j, devices);
+            assert_eq!(multi.best, single.best, "{devices} devices");
+            assert_eq!(multi.hbus, single.hbus, "{devices} devices");
+            assert_eq!(multi.cells, (a.len() * b.len()) as u64);
+            // Four block columns: a fifth device has no strip to own.
+            assert_eq!(multi.strip.strips, devices.min(4), "{devices} devices");
+            assert_eq!(multi.strip.runner_blocks.len(), devices.min(4), "{devices} devices");
+        }
+    }
+
+    #[test]
+    fn split_matches_single_device_global_and_reverse() {
+        let a = lcg(5, 250);
+        let b = lcg(6, 300);
+        let sc = Scoring::paper();
+        for mode in [
+            Mode::global(ES::Diagonal),
+            Mode::global(ES::GapS1),
+            Mode::global_reverse(ES::Diagonal, &sc),
+            Mode::global_reverse(ES::GapS1, &sc),
+        ] {
+            let j = job(&a, &b, mode);
+            let single = solo(&j);
+            let multi = split(&j, 3);
+            assert_eq!(multi.hbus, single.hbus, "{mode:?}");
+            assert_eq!(multi.vbus, single.vbus, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn work_is_balanced() {
+        let a = lcg(7, 300);
+        let b = lcg(8, 301);
+        let multi = split(&job(&a, &b, Mode::Local), 4);
+        let blocks = &multi.strip.runner_blocks;
+        let min = blocks.iter().min().unwrap();
+        let max = blocks.iter().max().unwrap();
+        // Balanced strips differ by at most one block column.
+        assert!(max - min <= multi.layout.block_rows as u64, "unbalanced: {blocks:?}");
+    }
+
+    #[test]
+    fn degenerate_regions() {
+        let multi = split(&job(b"", b"ACG", Mode::Local), 2);
+        assert_eq!(multi.cells, 0);
+        let multi2 = split(&job(b"ACG", b"", Mode::Local), 2);
+        assert_eq!(multi2.cells, 0);
+        // More devices than columns clamps.
+        let a = lcg(9, 10);
+        let multi3 = split(&job(&a, &a, Mode::Local), 64);
+        let single = solo(&job(&a, &a, Mode::Local));
+        assert_eq!(multi3.best, single.best);
+        assert_eq!(multi3.strip.strips, multi3.layout.block_cols);
+    }
+}
+
+#[cfg(test)]
+mod resume_tests {
+    use super::tests::{lcg, solo, solo_with};
+    use super::*;
+    use sw_core::transcript::EdgeState as ES;
 
     fn job<'a>(a: &'a [u8], b: &'a [u8]) -> RegionJob<'a> {
         RegionJob {
@@ -2174,32 +1948,67 @@ mod resume_tests {
     }
 
     /// A token cancelled before launch aborts immediately with the
-    /// initial state as its flush — resuming from it runs everything.
+    /// initial state as its flush — resuming from it runs everything —
+    /// and parks the strip counters in the token, one strip or many.
     #[test]
     fn pre_cancelled_run_aborts_with_initial_snapshot() {
         let a = lcg(23, 150);
         let b = lcg(24, 140);
-        let j = job(&a, &b);
-        let full = solo(&j);
-        let pool = WorkerPool::new(2);
-        let token = crate::ctrl::CancelToken::new();
-        token.cancel(crate::ctrl::CancelCause::Requested);
-        let mut obs = CancelAfter { countdown: 0, token: &token, snaps: vec![] };
-        let res = run(
-            &pool,
-            &j,
-            &mut obs,
-            RunOpts { checkpoint_every: Some(10_000), token: Some(&token), ..Default::default() },
-        )
-        .unwrap();
-        assert!(res.aborted);
-        assert_eq!(res.cells, 0, "no partial work should be committed");
-        let snap = obs.snaps.pop().expect("flush");
-        assert_eq!(snap.next_diagonal, 0);
-        let resumed =
-            solo_with(&j, &mut NoObserver, RunOpts { resume: Some(snap), ..Default::default() });
-        assert_eq!(resumed.best, full.best);
-        assert_eq!(resumed.hbus, full.hbus);
+        for workers in [1usize, 2] {
+            let j = RegionJob { workers, ..job(&a, &b) };
+            let full = solo(&j);
+            let pool = WorkerPool::new(workers);
+            let token = crate::ctrl::CancelToken::new();
+            token.cancel(crate::ctrl::CancelCause::Requested);
+            let mut obs = CancelAfter { countdown: 0, token: &token, snaps: vec![] };
+            let opts = RunOpts {
+                checkpoint_every: Some(10_000),
+                token: Some(&token),
+                ..Default::default()
+            };
+            let res = run(&pool, &j, &mut obs, opts).unwrap();
+            assert!(res.aborted, "workers={workers}");
+            assert_eq!(res.cells, 0, "no partial work should be committed");
+            let snap = obs.snaps.pop().expect("flush");
+            assert!(obs.snaps.is_empty(), "exactly one flush per cancel");
+            assert_eq!(snap.next_diagonal, 0);
+            let diag = token.take_strip_diag().expect("cancelled launch parks a StripDiag");
+            assert_eq!(diag.claims, vec![1; workers], "each runner holds its home strip");
+            let resume = RunOpts { resume: Some(snap), ..Default::default() };
+            let resumed = solo_with(&j, &mut NoObserver, resume);
+            assert_eq!(resumed.best, full.best, "workers={workers}");
+            assert_eq!(resumed.hbus, full.hbus, "workers={workers}");
+        }
+    }
+
+    /// Resuming from a snapshot taken after the last diagonal has nothing
+    /// to compute: the launch returns the snapshot's state unchanged.
+    #[test]
+    fn resume_at_end_returns_the_snapshot_state() {
+        let a = lcg(31, 90);
+        let b = lcg(37, 70);
+        for workers in [1usize, 2] {
+            let j = RegionJob { workers, ..job(&a, &b) };
+            let full = solo(&j);
+            let end = EngineState {
+                next_diagonal: full.layout.diagonals(),
+                hbus: full.hbus.clone(),
+                vbus: full.vbus.clone(),
+                best: full.best,
+                cells: full.cells,
+                busy_slots: full.busy_slots,
+                ..EngineState::initial(&j, &full.layout)
+            };
+            let res =
+                solo_with(&j, &mut NoObserver, RunOpts { resume: Some(end), ..Default::default() });
+            assert!(!res.aborted, "workers={workers}");
+            assert_eq!(res.diagonals_run, 0, "workers={workers}");
+            assert_eq!(res.best, full.best, "workers={workers}");
+            assert_eq!(res.hbus, full.hbus, "workers={workers}");
+            assert_eq!(res.vbus, full.vbus, "workers={workers}");
+            assert_eq!(res.cells, full.cells, "workers={workers}");
+            assert_eq!(res.busy_slots, full.busy_slots, "workers={workers}");
+        }
     }
 
     /// A live (never-cancelled) token must not change results.

@@ -1,15 +1,14 @@
 //! Race-detector tests (compiled only with `--features race-check`).
 //!
-//! Three claims, per DESIGN.md "Enforced invariants":
+//! Two claims, per DESIGN.md "Enforced invariants":
 //!
-//! 1. Clean runs — parallel wavefront, resumed wavefront, multi-device
-//!    pipeline — report *zero* violations: the scope-per-diagonal barrier
-//!    really does order every cross-block bus hand-off.
-//! 2. A seeded scheduling fault ([`exec::fault::arm_reorder_block`]) is
-//!    provably caught: the detector reports `WrongProducer` for the
-//!    reordered block while the engine's *output stays bit-identical*
-//!    (the fault lives only in the detector's shadow state).
-//! 3. The multi-device border channel's provenance tags round-trip.
+//! 1. Clean runs, one strip or many, report *zero* violations: the strip
+//!    protocol really does order every cross-block bus hand-off.
+//! 2. Seeded scheduling faults ([`exec::fault::arm_reorder_block`],
+//!    [`exec::fault::arm_early_publish`]) are provably caught: the
+//!    detector reports `WrongProducer` for the faulted block while the
+//!    engine's *output stays bit-identical* (the fault lives only in the
+//!    detector's shadow state).
 //!
 //! The violation sink is process-global, so every test serializes behind
 //! one lock and drains the sink before running.
@@ -19,7 +18,7 @@
 use gpu_sim::exec::fault;
 use gpu_sim::race::{self, ViolationKind};
 use gpu_sim::wavefront::{run, RegionJob, RegionResult, RunOpts};
-use gpu_sim::{multi, GridSpec, Mode, NoObserver, WorkerPool};
+use gpu_sim::{GridSpec, Mode, NoObserver, WorkerPool};
 use std::sync::{Mutex, MutexGuard};
 use sw_core::scoring::Scoring;
 
@@ -81,39 +80,43 @@ fn clean_parallel_run_reports_nothing() {
 fn seeded_reorder_fault_is_caught_and_output_unchanged() {
     let _g = isolated();
     let (a, b) = (dna(41, 96), dna(59, 96));
-    let j = job(&a, &b, 4);
+    // One worker runs a one-strip plan; four run four single-column
+    // strips.
+    for workers in [1, 4] {
+        let j = job(&a, &b, workers);
 
-    let clean = solo(&j);
-    assert!(race::take_report().is_empty(), "baseline run must be clean");
+        let clean = solo(&j);
+        assert!(race::take_report().is_empty(), "baseline run must be clean");
 
-    // Run block (1,1) one external diagonal early — before the barrier
-    // that seals its producers' writes.
-    fault::arm_reorder_block(1, 1);
-    let faulty = solo(&j);
-    fault::disarm();
-    let report = race::take_report();
+        // Replay block (1,1)'s bus transactions before its producers
+        // have written.
+        fault::arm_reorder_block(1, 1);
+        let faulty = solo(&j);
+        fault::disarm();
+        let report = race::take_report();
 
-    // The fault is confined to the detector's shadow state: the engine's
-    // observable output must be bit-identical.
-    assert_eq!(clean.best, faulty.best);
-    assert_eq!(clean.cells, faulty.cells);
-    assert_eq!(clean.hbus, faulty.hbus);
-    assert_eq!(clean.vbus, faulty.vbus);
+        // The fault is confined to the detector's shadow state: the
+        // engine's observable output must be bit-identical.
+        assert_eq!(clean.best, faulty.best, "workers={workers}");
+        assert_eq!(clean.cells, faulty.cells, "workers={workers}");
+        assert_eq!(clean.hbus, faulty.hbus, "workers={workers}");
+        assert_eq!(clean.vbus, faulty.vbus, "workers={workers}");
 
-    // ... and the detector must have caught it: the early run reads bus
-    // cells its scheduled producers have not written yet.
-    assert!(!report.is_empty(), "seeded reorder fault went undetected");
-    assert!(
-        report.iter().any(|v| v.kind == ViolationKind::WrongProducer
-            && v.r == 1
-            && v.c == 1
-            && v.diagonal == 2),
-        "no WrongProducer violation at the reordered block (1,1)@d2:\n{}",
-        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
-    );
-    // Each phantom read of a not-yet-written cell names the border state
-    // as the observed writer.
-    assert!(report.iter().any(|v| v.detail.contains("border")));
+        // ... and the detector must have caught it: the early run reads
+        // bus cells its scheduled producers have not written yet.
+        assert!(!report.is_empty(), "seeded reorder fault went undetected, workers={workers}");
+        assert!(
+            report.iter().any(|v| v.kind == ViolationKind::WrongProducer
+                && v.r == 1
+                && v.c == 1
+                && v.diagonal == 2),
+            "no WrongProducer violation at the reordered block (1,1)@d2, workers={workers}:\n{}",
+            report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+        );
+        // Each phantom read of a not-yet-written cell names the border
+        // state as the observed writer.
+        assert!(report.iter().any(|v| v.detail.contains("border")), "workers={workers}");
+    }
 }
 
 #[test]
@@ -183,32 +186,4 @@ fn second_run_after_fault_is_clean_again() {
         "run after a disarmed fault reported violations:\n{}",
         report.iter().map(|v| format!("  {v}\n")).collect::<String>()
     );
-}
-
-#[test]
-fn multi_device_clean_run_reports_nothing() {
-    let _g = isolated();
-    let (a, b) = (dna(77, 128), dna(91, 128));
-    let j = job(&a, &b, 3);
-    let single = solo(&j);
-    let split = multi::run_split(&j, 3);
-    assert_eq!(single.hbus, split.hbus);
-    assert!(split.exchanged_cells > 0, "pipeline must actually exchange borders");
-    let report = race::take_report();
-    assert!(
-        report.is_empty(),
-        "multi-device clean run reported violations:\n{}",
-        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
-    );
-}
-
-#[test]
-fn channel_tag_mismatch_is_reported() {
-    let _g = isolated();
-    race::report_channel_tag(2, 7, 1, 7);
-    let report = race::take_report();
-    assert_eq!(report.len(), 1);
-    assert_eq!(report[0].kind, ViolationKind::ChannelTag);
-    assert!(report[0].detail.contains("device 1"));
-    assert!(race::take_report().is_empty(), "take_report must drain the sink");
 }

@@ -1,16 +1,16 @@
-//! Pooled execution is observationally identical to serial execution.
+//! Every pool width and strip plan delivers the right answer.
 //!
-//! The persistent worker pool (`gpu_sim::exec::WorkerPool`) replaces the
-//! per-diagonal thread spawns of the original engine. These properties
-//! pin down the contract the pipeline relies on: for ANY grid geometry
-//! and ANY pool width, a pooled launch produces exactly the same scores,
-//! endpoints, buses and observer event stream (hence the same special
-//! rows) as the single-threaded run.
+//! These properties pin down the contract the pipeline relies on: for ANY
+//! grid geometry, pool width and strip plan, a launch produces exactly
+//! the scores, endpoints, buses and observer event stream (hence the
+//! special rows) that [`Oracle`] derives from whole-prefix scalar-kernel
+//! runs — and, as a second check, exactly what the 1-worker launch (a
+//! one-strip plan) produces.
 
 use gpu_sim::wavefront::{run, NoObserver, RegionJob, RunOpts};
-use gpu_sim::{BlockCoords, CellHE, CellHF, GridSpec, Mode, StripPlan, TileOutcome, WorkerPool};
+use gpu_sim::{GridSpec, Mode, StripPlan, WorkerPool};
+use integration_tests::{run_recorded, BlockEvent, Oracle};
 use proptest::prelude::*;
-use std::ops::ControlFlow;
 use sw_core::scoring::Scoring;
 use sw_core::transcript::EdgeState;
 
@@ -44,67 +44,50 @@ fn grids() -> impl Strategy<Value = GridSpec> {
     })
 }
 
-/// One observer event: block coordinates plus its bottom/right border
-/// contents.
-type BlockEvent = ((usize, usize), Vec<CellHF>, Vec<CellHE>);
-
-/// Records the full observer event stream, one entry per block. Stage 1
-/// assembles special rows from exactly these bottom borders, so equal
-/// streams imply byte-equal special rows in the SRA.
-#[derive(Default)]
-struct Recorder {
-    events: Vec<BlockEvent>,
-}
-
-impl gpu_sim::WavefrontObserver for Recorder {
-    fn on_block(
-        &mut self,
-        block: &BlockCoords,
-        _outcome: &TileOutcome,
-        bottom: &[CellHF],
-        right: &[CellHE],
-    ) -> ControlFlow<()> {
-        self.events.push(((block.r, block.c), bottom.to_vec(), right.to_vec()));
-        ControlFlow::Continue(())
-    }
+/// Check a launch against the oracle, as a proptest failure.
+fn check(
+    oracle: &Oracle,
+    res: &gpu_sim::RegionResult,
+    events: &[BlockEvent],
+    tag: &str,
+) -> Result<(), TestCaseError> {
+    oracle.check(res, events).map_err(|e| TestCaseError::fail(format!("oracle, {tag}: {e}")))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Local mode (stage 1): same best score, same endpoint, same buses,
-    /// same observer stream for pool widths 1, 2 and 8.
+    /// Local mode (stage 1): the oracle's best score, endpoint, buses and
+    /// observer stream for pool widths 1, 2 and 8, and the same as one
+    /// worker.
     #[test]
     fn pooled_local_equals_serial(a in dna(140), b in dna(140), grid in grids()) {
         let serial_job = RegionJob {
             a: &a, b: &b, scoring: Scoring::paper(), mode: Mode::Local,
             grid, workers: 1, watch: None,
         };
-        let mut serial_obs = Recorder::default();
-        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
-            .expect("no worker panic");
+        let oracle = Oracle::of(&serial_job);
+        let (serial, serial_events) =
+            run_recorded(&WorkerPool::new(1), &serial_job, RunOpts::default());
 
         for lanes in [1usize, 2, 8] {
             let pool = WorkerPool::new(lanes);
             let job = RegionJob { workers: lanes, ..serial_job };
-            let mut obs = Recorder::default();
-            let res = run(&pool, &job, &mut obs, RunOpts::default()).expect("no worker panic");
+            let (res, events) = run_recorded(&pool, &job, RunOpts::default());
+            check(&oracle, &res, &events, &format!("lanes={lanes}"))?;
             prop_assert_eq!(res.best, serial.best, "best, lanes={}", lanes);
             prop_assert_eq!(res.cells, serial.cells, "cells, lanes={}", lanes);
             prop_assert_eq!(&res.hbus, &serial.hbus, "hbus, lanes={}", lanes);
             prop_assert_eq!(&res.vbus, &serial.vbus, "vbus, lanes={}", lanes);
-            prop_assert_eq!(
-                obs.events.len(), serial_obs.events.len(),
-                "event count, lanes={}", lanes
-            );
             prop_assert!(
-                obs.events == serial_obs.events,
+                events == serial_events,
                 "observer stream diverged with lanes={}", lanes
             );
         }
     }
 
-    /// Global mode (stages 2-3 strips): identical frontier buses.
+    /// Global mode (stages 2-3 strips): the oracle's frontier buses, and
+    /// the same as one worker.
     #[test]
     fn pooled_global_equals_serial(
         a in dna(120), b in dna(120), grid in grids(),
@@ -114,18 +97,19 @@ proptest! {
             a: &a, b: &b, scoring: Scoring::paper(), mode: Mode::global(start),
             grid, workers: 1, watch: None,
         };
-        let mut serial_obs = Recorder::default();
-        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
-            .expect("no worker panic");
+        let oracle = Oracle::of(&serial_job);
+        let (serial, serial_events) =
+            run_recorded(&WorkerPool::new(1), &serial_job, RunOpts::default());
+        check(&oracle, &serial, &serial_events, "lanes=1")?;
 
         for lanes in [2usize, 8] {
             let pool = WorkerPool::new(lanes);
             let job = RegionJob { workers: lanes, ..serial_job };
-            let mut obs = Recorder::default();
-            let res = run(&pool, &job, &mut obs, RunOpts::default()).expect("no worker panic");
+            let (res, events) = run_recorded(&pool, &job, RunOpts::default());
+            check(&oracle, &res, &events, &format!("lanes={lanes}"))?;
             prop_assert_eq!(&res.hbus, &serial.hbus, "hbus, lanes={}", lanes);
             prop_assert_eq!(&res.vbus, &serial.vbus, "vbus, lanes={}", lanes);
-            prop_assert!(obs.events == serial_obs.events, "stream, lanes={}", lanes);
+            prop_assert!(events == serial_events, "stream, lanes={}", lanes);
         }
     }
 
@@ -154,8 +138,8 @@ proptest! {
 
 /// Grid-shape classes the strip scheduler must handle: the strip count
 /// is `min(workers, block_cols)`, so these drive every claiming regime —
-/// tall/wide/square grids, a single strip (serial fallback), and strip
-/// counts on both sides of the worker count.
+/// tall/wide/square grids, a single strip, and strip counts on both
+/// sides of the worker count.
 #[derive(Debug, Clone, Copy)]
 enum Shape {
     Tall,
@@ -195,7 +179,7 @@ fn shape_case(
         // Few block rows, many columns.
         Shape::Wide => (30 + stretch / 3, 200 + stretch, 5 + blocks_knob % 3),
         Shape::Square => (100 + stretch / 2, 100 + stretch / 2, 3 + blocks_knob % 3),
-        // One block column: the engine must fall back to serial order.
+        // One block column: a one-strip plan at every worker count.
         Shape::SingleStrip => (60 + stretch, 60 + stretch, 1),
         // More strips than any swept worker count below 8.
         Shape::ManyStrips => (40 + stretch / 2, 200 + stretch, 7),
@@ -216,13 +200,13 @@ const SHAPES: [Shape; 6] = [
     Shape::FewStrips,
 ];
 
-/// Assert a pooled result is byte-identical to the serial baseline in
-/// every schedule-independent field, plus the full observer stream.
+/// Assert a result is byte-identical to the 1-worker baseline in every
+/// schedule-independent field, plus the full observer stream.
 fn assert_equiv(
     res: &gpu_sim::RegionResult,
-    obs: &Recorder,
+    events: &[BlockEvent],
     serial: &gpu_sim::RegionResult,
-    serial_obs: &Recorder,
+    serial_events: &[BlockEvent],
     tag: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(res.best, serial.best, "best, {}", tag);
@@ -233,7 +217,7 @@ fn assert_equiv(
     prop_assert_eq!(res.paths, serial.paths, "kernel paths, {}", tag);
     prop_assert_eq!(&res.hbus, &serial.hbus, "hbus, {}", tag);
     prop_assert_eq!(&res.vbus, &serial.vbus, "vbus, {}", tag);
-    prop_assert!(obs.events == serial_obs.events, "observer stream diverged, {tag}");
+    prop_assert!(events == serial_events, "observer stream diverged, {tag}");
     Ok(())
 }
 
@@ -241,8 +225,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The strip scheduler (persistent column-strip ownership with
-    /// point-to-point publishes) is observationally identical to the
-    /// serial engine for every worker count and grid-shape class.
+    /// point-to-point publishes) matches the oracle, and the 1-worker
+    /// run, for every worker count and grid-shape class.
     #[test]
     fn strip_scheduler_equals_serial_across_workers_and_shapes(
         shape_idx in 0usize..6,
@@ -260,23 +244,24 @@ proptest! {
             a: &a, b: &b, scoring: Scoring::paper(), mode,
             grid, workers: 1, watch: None,
         };
-        let mut serial_obs = Recorder::default();
-        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
-            .expect("no worker panic");
+        let oracle = Oracle::of(&serial_job);
+        let (serial, serial_events) =
+            run_recorded(&WorkerPool::new(1), &serial_job, RunOpts::default());
 
         for workers in [1usize, 2, 3, 4, 8] {
             let pool = WorkerPool::new(workers);
             let job = RegionJob { workers, ..serial_job };
-            let mut obs = Recorder::default();
-            let res = run(&pool, &job, &mut obs, RunOpts::default()).expect("no worker panic");
-            assert_equiv(&res, &obs, &serial, &serial_obs, &format!("workers={workers}"))?;
+            let (res, events) = run_recorded(&pool, &job, RunOpts::default());
+            let tag = format!("workers={workers}");
+            check(&oracle, &res, &events, &tag)?;
+            assert_equiv(&res, &events, &serial, &serial_events, &tag)?;
         }
     }
 
     /// Explicit strip plans on both sides of the worker count — more
     /// strips than workers (forces whole-strip work stealing) and fewer
-    /// strips than workers (idles the surplus) — still reproduce the
-    /// serial result exactly.
+    /// strips than workers (idles the surplus) — still match the oracle
+    /// and the 1-worker result exactly.
     #[test]
     fn custom_strip_plans_equal_serial(
         seed in any::<u64>(), stretch in 0usize..160,
@@ -290,26 +275,26 @@ proptest! {
             a: &a, b: &b, scoring: Scoring::paper(), mode: Mode::Local,
             grid, workers: 1, watch: None,
         };
-        let mut serial_obs = Recorder::default();
-        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
-            .expect("no worker panic");
+        let oracle = Oracle::of(&serial_job);
+        let (serial, serial_events) =
+            run_recorded(&WorkerPool::new(1), &serial_job, RunOpts::default());
         let bc = serial.layout.block_cols;
 
         // strips > workers: 2 workers over a maximally split plan.
         let fine = StripPlan { bounds: (0..=bc).collect(), batch_rows };
         let pool = WorkerPool::new(2);
         let job = RegionJob { workers: 2, ..serial_job };
-        let mut obs = Recorder::default();
         let opts = RunOpts { plan: Some(fine), ..Default::default() };
-        let res = run(&pool, &job, &mut obs, opts).expect("no worker panic");
-        let stats = res.strip.clone().expect("strip stats present");
+        let (res, events) = run_recorded(&pool, &job, opts);
+        let stats = &res.strip;
         prop_assert_eq!(stats.strips, bc);
         prop_assert_eq!(
             stats.runner_blocks.iter().sum::<u64>(),
             (serial.layout.block_rows * bc) as u64,
             "every block computed exactly once"
         );
-        assert_equiv(&res, &obs, &serial, &serial_obs, "fine plan")?;
+        check(&oracle, &res, &events, "fine plan")?;
+        assert_equiv(&res, &events, &serial, &serial_events, "fine plan")?;
 
         // strips < workers: 8 workers over a two-strip plan; the engine
         // must cap its runners at the strip count.
@@ -317,13 +302,12 @@ proptest! {
             let coarse = StripPlan { bounds: vec![0, bc / 2, bc], batch_rows };
             let pool = WorkerPool::new(8);
             let job = RegionJob { workers: 8, ..serial_job };
-            let mut obs = Recorder::default();
             let opts = RunOpts { plan: Some(coarse), ..Default::default() };
-            let res = run(&pool, &job, &mut obs, opts).expect("no worker panic");
-            let stats = res.strip.clone().expect("strip stats present");
-            prop_assert_eq!(stats.strips, 2);
-            prop_assert_eq!(stats.runner_blocks.len(), 2, "runners capped at strip count");
-            assert_equiv(&res, &obs, &serial, &serial_obs, "coarse plan")?;
+            let (res, events) = run_recorded(&pool, &job, opts);
+            prop_assert_eq!(res.strip.strips, 2);
+            prop_assert_eq!(res.strip.runner_blocks.len(), 2, "runners capped at strip count");
+            check(&oracle, &res, &events, "coarse plan")?;
+            assert_equiv(&res, &events, &serial, &serial_events, "coarse plan")?;
         }
     }
 }
@@ -337,7 +321,7 @@ proptest! {
     /// clears the striped eligibility floor; we assert that striped
     /// tiles really occurred, that the kernel-path counters are
     /// deterministic across pool widths, and that results are identical
-    /// between a serial run and an 8-lane pool.
+    /// between a 1-worker run and an 8-lane pool.
     #[test]
     fn pooled_equivalence_holds_with_striped_kernel(
         a in dna_long(), b in dna_long(), grid in coarse_grids(),
@@ -348,9 +332,8 @@ proptest! {
             a: &a, b: &b, scoring: Scoring::paper(), mode,
             grid, workers: 1, watch: None,
         };
-        let mut serial_obs = Recorder::default();
-        let serial = run(&WorkerPool::new(1), &serial_job, &mut serial_obs, RunOpts::default())
-            .expect("no worker panic");
+        let (serial, serial_events) =
+            run_recorded(&WorkerPool::new(1), &serial_job, RunOpts::default());
         prop_assert!(
             serial.paths.striped_total() > 0,
             "expected striped tiles with grid {:?} on {}x{}", grid, a.len(), b.len()
@@ -362,15 +345,14 @@ proptest! {
         for lanes in [1usize, 8] {
             let pool = WorkerPool::new(lanes);
             let job = RegionJob { workers: lanes, ..serial_job };
-            let mut obs = Recorder::default();
-            let res = run(&pool, &job, &mut obs, RunOpts::default()).expect("no worker panic");
+            let (res, events) = run_recorded(&pool, &job, RunOpts::default());
             prop_assert_eq!(res.best, serial.best, "best, lanes={}", lanes);
             prop_assert_eq!(res.cells, serial.cells, "cells, lanes={}", lanes);
             prop_assert_eq!(res.paths, serial.paths, "kernel paths, lanes={}", lanes);
             prop_assert_eq!(&res.hbus, &serial.hbus, "hbus, lanes={}", lanes);
             prop_assert_eq!(&res.vbus, &serial.vbus, "vbus, lanes={}", lanes);
             prop_assert!(
-                obs.events == serial_obs.events,
+                events == serial_events,
                 "observer stream diverged with lanes={}", lanes
             );
         }

@@ -4,13 +4,15 @@
 //! A deliberately ragged plan — one strip 8× wider than the rest — forces
 //! the runner that drew the fat strip to fall behind while its peer
 //! drains the remaining strips by whole-strip stealing. The run must
-//! still be bit-identical to serial, nobody may starve, and every steal
-//! must surface as a `strip_steal` record that `validate_trace` accepts.
+//! still match the oracle and the 1-worker run bit for bit, nobody may
+//! starve, and every steal must surface as a `strip_steal` record that
+//! `validate_trace` accepts.
 
 use cudalign::obs::validate_trace;
 use cudalign::{Obs, TraceWriter};
 use gpu_sim::wavefront::{run, RegionJob, RunOpts};
 use gpu_sim::{GridSpec, Mode, NoObserver, StripEvent, StripPlan, WorkerPool};
+use integration_tests::{run_recorded, Oracle};
 use std::ops::ControlFlow;
 use sw_core::scoring::Scoring;
 
@@ -54,15 +56,16 @@ fn ragged_plan_steals_whole_strips_without_starvation() {
 
     let pool = WorkerPool::new(2);
     let opts = RunOpts { plan: Some(plan.clone()), ..Default::default() };
-    let res = run(&pool, &job, &mut NoObserver, opts).expect("no worker panic");
+    let (res, events) = run_recorded(&pool, &job, opts);
 
-    // Bit-identical to serial despite the ragged schedule.
+    // Right, and bit-identical to one worker, despite the ragged schedule.
+    Oracle::of(&job).check(&res, &events).expect("ragged plan matches the oracle");
     assert_eq!(res.best, serial.best);
     assert_eq!(res.cells, serial.cells);
     assert_eq!(res.hbus, serial.hbus);
     assert_eq!(res.vbus, serial.vbus);
 
-    let stats = res.strip.expect("strip stats present");
+    let stats = res.strip;
     let strips = plan.strips();
     assert_eq!(stats.strips, strips);
     let runners = stats.runner_blocks.len();
@@ -159,7 +162,7 @@ fn every_steal_is_visible_in_validated_trace_ndjson() {
             let opts = RunOpts { plan: Some(plan), ..Default::default() };
             run(&pool, &job, &mut bridge, opts).expect("no worker panic")
         };
-        let stats = res.strip.expect("strip stats present");
+        let stats = res.strip;
         obs.emit(cudalign::obs::Event::StageEnd { stage: 1, seconds: 0.0, cells: res.cells });
         obs.emit(cudalign::obs::Event::RunEnd { seconds: 0.0, best_score: 0 });
         stats
@@ -204,4 +207,81 @@ fn pipeline_trace_carries_strip_scheduler_records() {
         check.strip_claims
     );
     assert!(check.strip_progress > 0, "stage 1 must publish strip batches");
+}
+
+/// Empty and single-cell regions run on the strip path at every width.
+#[test]
+fn empty_and_single_cell_regions_match_the_oracle() {
+    let cases: [(&[u8], &[u8]); 4] =
+        [(b"", b"ACGTACGT"), (b"ACGTACGT", b""), (b"", b""), (b"A", b"A")];
+    for (a, b) in cases {
+        for workers in [1, 2] {
+            let job = RegionJob {
+                a,
+                b,
+                scoring: Scoring::paper(),
+                mode: Mode::Local,
+                grid: GridSpec { blocks: 3, threads: 2, alpha: 2 },
+                workers,
+                watch: None,
+            };
+            let (res, events) = run_recorded(&WorkerPool::new(workers), &job, RunOpts::default());
+            let tag = format!("{}x{} workers={workers}", a.len(), b.len());
+            Oracle::of(&job).check(&res, &events).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(res.cells, (a.len() * b.len()) as u64, "{tag}");
+            assert_eq!(res.strip.strips, workers.min(res.layout.block_cols), "{tag}");
+        }
+    }
+}
+
+/// Cancels the run on the first stage-1 strip claim.
+struct CancelOnClaim(cudalign::RunControl);
+
+impl cudalign::Recorder for CancelOnClaim {
+    fn record(&mut self, _: std::time::Duration, ev: &cudalign::Event) {
+        if let cudalign::Event::StripSteal { .. } = ev {
+            self.0.cancel();
+        }
+    }
+}
+
+/// One worker runs stage 1 as a one-strip plan: its trace carries one
+/// home claim and no steal or publish, and a cancel during stage 1
+/// leaves a `stall_diag` record like any other strip launch.
+#[test]
+fn one_worker_stage1_traces_its_one_strip() {
+    use integration_tests::edited_pair;
+    let (a, b) = edited_pair(89, 400, 15);
+    let mut cfg = cudalign::PipelineConfig::for_tests();
+    cfg.workers = 1;
+
+    let mut tracer = TraceWriter::new(Vec::new());
+    {
+        let mut obs = Obs::new();
+        obs.add_recorder(&mut tracer);
+        cudalign::Pipeline::new(cfg.clone())
+            .align_observed(&a, &b, &mut obs)
+            .expect("pipeline run");
+    }
+    let text = String::from_utf8(tracer.finish().unwrap()).unwrap();
+    let check = validate_trace(&text).expect("schema-valid trace");
+    assert_eq!(check.strip_claims, 1, "one home claim");
+    assert_eq!(check.strip_steals, 0);
+    assert_eq!(check.strip_progress, 0, "a lone strip has no right neighbour to publish to");
+
+    let ctrl = cudalign::RunControl::unlimited();
+    let mut cancel = CancelOnClaim(ctrl.clone());
+    let mut tracer = TraceWriter::new(Vec::new());
+    let err = {
+        let mut obs = Obs::new();
+        obs.add_recorder(&mut tracer);
+        obs.add_recorder(&mut cancel);
+        cudalign::Pipeline::new(cfg)
+            .align_supervised(&a, &b, &mut obs, &ctrl)
+            .expect_err("a cancelled run must not succeed")
+    };
+    assert_eq!(err.interruption_kind(), Some("cancelled"), "{err}");
+    let text = String::from_utf8(tracer.finish().unwrap()).unwrap();
+    validate_trace(&text).expect("interrupted trace stays schema-valid");
+    assert!(text.lines().any(|l| l.contains("\"ev\":\"stall_diag\"")), "no stall_diag:\n{text}");
 }
