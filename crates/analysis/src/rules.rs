@@ -26,7 +26,6 @@ const VENDORED: &[&str] = &["crates/rand/", "crates/proptest/"];
 const HOT_PATHS: &[&str] = &[
     "crates/gpu-sim/src/kernel.rs",
     "crates/gpu-sim/src/striped.rs",
-    "crates/gpu-sim/src/striped8.rs",
     "crates/gpu-sim/src/wavefront.rs",
     "crates/gpu-sim/src/exec.rs",
 ];

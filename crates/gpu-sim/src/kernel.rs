@@ -7,8 +7,7 @@
 //! its own last row / last column — exactly the bus hand-off of the paper
 //! (Section III-C).
 
-use crate::striped::{self, ProfileCache, QueryProfile, StripedColumns};
-use crate::striped8;
+use crate::striped::{self, ProfileCache, StripedColumns, LANES, LANES8};
 use sw_core::full::better_endpoint;
 use sw_core::scoring::{Score, Scoring, NEG_INF};
 use sw_core::transcript::EdgeState;
@@ -129,19 +128,21 @@ impl Mode {
 /// non-scalar") say so with a deliberate `_` arm and a comment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// 32-lane saturating-`i8` kernel committed the tile (plus a scalar
-    /// sliver for the `height % LANES8` remainder rows).
+    /// The `i8 ×` [`LANES8`] striped rung committed the tile (plus a
+    /// scalar sliver for the `height % LANES8` remainder rows).
     Striped8,
     /// The `i8` attempt left its safe window; the tile was escalated to
-    /// and committed by the `i16` kernel (results identical).
+    /// and committed by the `i16` rung (results identical).
     Striped8Fallback16,
-    /// Lane-striped saturating-`i16` kernel (plus a scalar sliver for the
+    /// The `i16 ×` [`LANES`] striped rung (plus a scalar sliver for the
     /// `height % LANES` remainder rows). The `i8` rung was not attempted:
-    /// the tile shape or scoring failed [`striped8::eligible`], or the
-    /// caller asked for the i16 path directly ([`compute_tile_i16`]).
+    /// the tile had fewer than [`LANES8`] rows or columns or a scoring
+    /// parameter beyond [`striped::P8_MAX`], or the caller asked for the
+    /// i16 path directly ([`compute_tile_i16`]).
     Striped16,
     /// Scalar `i32` kernel chosen up front — the tile was too small or the
-    /// scoring too wide for any striped path ([`striped::eligible`]).
+    /// scoring too wide for any striped rung (fewer than [`LANES`] rows or
+    /// columns, or a parameter beyond [`striped::P_MAX`]).
     Scalar,
     /// Every striped attempt left its safe window; the tile was
     /// transparently re-run on the scalar kernel (results identical).
@@ -164,8 +165,8 @@ impl KernelPath {
     /// (`1` for the scalar paths).
     pub fn lanes(self) -> usize {
         match self {
-            KernelPath::Striped8 => striped8::LANES8,
-            KernelPath::Striped8Fallback16 | KernelPath::Striped16 => striped::LANES,
+            KernelPath::Striped8 => LANES8,
+            KernelPath::Striped8Fallback16 | KernelPath::Striped16 => LANES,
             KernelPath::Scalar | KernelPath::StripedFallback => 1,
         }
     }
@@ -250,11 +251,12 @@ pub struct TileOutcome {
 /// untouched and `corner_out` is the left border's last `H`. Degenerate
 /// tiles count zero cells and never produce `best`/`watch_hit`.
 ///
-/// Eligible tiles climb the precision ladder: the 32-lane `i8` kernel is
-/// attempted first ([`striped8::eligible`]), escalating on window
-/// overflow to the 16-lane `i16` kernel ([`striped::eligible`]) and
-/// finally to the scalar `i32` loop; results are bit-identical on every
-/// rung, and [`TileOutcome::path`] records where the tile committed.
+/// Eligible tiles climb the precision ladder: the `i8 × LANES8` rung of
+/// the striped kernel is attempted first, escalating on window overflow
+/// to the `i16 × LANES` rung and finally to the scalar `i32` loop
+/// (eligibility per rung: `striped::eligible`); results are bit-identical
+/// on every rung, and [`TileOutcome::path`] records where the tile
+/// committed.
 ///
 /// This entry point builds a throwaway [`ProfileCache`] per call; engines
 /// that compute many tiles of the same band row should hold a cache and
@@ -272,10 +274,10 @@ pub fn compute_tile(
     top: &mut [CellHF],
     left: &mut [CellHE],
 ) -> TileOutcome {
-    let mut cache = ProfileCache::new();
-    compute_tile_cached(
-        a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left,
-        &mut cache,
+    let (first, cache) = (Rung::I8, &mut ProfileCache::new());
+    ladder(
+        first, a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left,
+        cache,
     )
 }
 
@@ -296,28 +298,14 @@ pub fn compute_tile_cached(
     left: &mut [CellHE],
     cache: &mut ProfileCache,
 ) -> TileOutcome {
-    // Dispatch to monomorphized inner loops — the CPU analogue of the
-    // paper's phase division, where the common case runs "an optimized
-    // kernel" without bookkeeping branches. Watching is rare (Stage 2
-    // only) and max-tracking applies only to local mode, so the global
-    // no-watch kernel — the bulk of Stages 2-3 — carries neither check.
-    match (local, watch.is_some()) {
-        (false, false) => dispatch_tile::<false, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, true,
-        ),
-        (false, true) => dispatch_tile::<false, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, true,
-        ),
-        (true, false) => dispatch_tile::<true, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, true,
-        ),
-        (true, true) => dispatch_tile::<true, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, true,
-        ),
-    }
+    let first = Rung::I8;
+    ladder(
+        first, a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left,
+        cache,
+    )
 }
 
-/// Compute one tile starting the ladder at the `i16` rung (the i8 kernel
+/// Compute one tile starting the ladder at the `i16` rung (the i8 rung
 /// is not attempted). Same contract as [`compute_tile`]; commits as
 /// [`KernelPath::Striped16`] or falls back. The MCUPS benches use this to
 /// measure the i16 path in isolation against the i8-first default.
@@ -334,22 +322,11 @@ pub fn compute_tile_i16(
     top: &mut [CellHF],
     left: &mut [CellHE],
 ) -> TileOutcome {
-    let mut cache = ProfileCache::new();
-    let cache = &mut cache;
-    match (local, watch.is_some()) {
-        (false, false) => dispatch_tile::<false, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, false,
-        ),
-        (false, true) => dispatch_tile::<false, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, false,
-        ),
-        (true, false) => dispatch_tile::<true, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, false,
-        ),
-        (true, true) => dispatch_tile::<true, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, false,
-        ),
-    }
+    let (first, cache) = (Rung::I16, &mut ProfileCache::new());
+    ladder(
+        first, a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left,
+        cache,
+    )
 }
 
 /// Compute one tile on the scalar `i32` kernel regardless of eligibility.
@@ -370,29 +347,57 @@ pub fn compute_tile_scalar(
     top: &mut [CellHF],
     left: &mut [CellHE],
 ) -> TileOutcome {
-    match (local, watch.is_some()) {
-        (false, false) => compute_tile_impl::<false, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
-        ),
-        (false, true) => compute_tile_impl::<false, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
-        ),
-        (true, false) => compute_tile_impl::<true, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
-        ),
-        (true, true) => compute_tile_impl::<true, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
-        ),
-    }
+    let (first, cache) = (Rung::Scalar, &mut ProfileCache::new());
+    ladder(
+        first, a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left,
+        cache,
+    )
 }
 
-/// Route a tile down the precision ladder: attempt the i8 kernel first
-/// (unless `allow8` is off or the tile fails [`striped8::eligible`]),
-/// escalate to the i16 kernel on window overflow — always possible, since
-/// i8 eligibility is a strict subset of i16 eligibility — and finally
-/// re-run the whole tile on the scalar `i32` kernel. Whichever striped
-/// rung commits, the `height % lanes` bottom sliver is stitched with the
-/// scalar kernel by [`finish_striped`].
+/// The ladder rung a tile entry point starts at.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rung {
+    I8,
+    I16,
+    Scalar,
+}
+
+/// Dispatch to monomorphized inner loops — the CPU analogue of the
+/// paper's phase division, where the common case runs "an optimized
+/// kernel" without bookkeeping branches. Watching is rare (Stage 2 only)
+/// and max-tracking applies only to local mode, so the global no-watch
+/// kernel — the bulk of Stages 2-3 — carries neither check.
+#[allow(clippy::too_many_arguments)]
+fn ladder(
+    first: Rung,
+    a_tile: &[u8],
+    b_tile: &[u8],
+    row_offset: usize,
+    col_offset: usize,
+    scoring: &Scoring,
+    local: bool,
+    watch: Option<Score>,
+    corner: Score,
+    top: &mut [CellHF],
+    left: &mut [CellHE],
+    cache: &mut ProfileCache,
+) -> TileOutcome {
+    let run = match (local, watch.is_some()) {
+        (false, false) => dispatch_tile::<false, false>,
+        (false, true) => dispatch_tile::<false, true>,
+        (true, false) => dispatch_tile::<true, false>,
+        (true, true) => dispatch_tile::<true, true>,
+    };
+    run(a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, first)
+}
+
+/// Route a tile down the precision ladder from rung `first`: attempt the
+/// i8 rung (if it is `first` and the tile is eligible), escalate to the
+/// i16 rung on window overflow — always possible, since i8 eligibility is
+/// a strict subset of i16 eligibility — and finally re-run the whole tile
+/// on the scalar `i32` kernel. Whichever striped rung commits, the
+/// `height % lanes` bottom sliver is stitched with the scalar kernel by
+/// [`finish_striped`].
 #[allow(clippy::too_many_arguments)]
 fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
     a_tile: &[u8],
@@ -405,11 +410,12 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
     top: &mut [CellHF],
     left: &mut [CellHE],
     cache: &mut ProfileCache,
-    allow8: bool,
+    first: Rung,
 ) -> TileOutcome {
-    let attempted8 = allow8 && striped8::eligible(a_tile.len(), b_tile.len(), scoring);
+    let (height, width) = (a_tile.len(), b_tile.len());
+    let attempted8 = first == Rung::I8 && striped::eligible::<i8, LANES8>(height, width, scoring);
     if attempted8 {
-        if let Some(part) = striped8::compute_striped8_columns::<LOCAL, WATCH>(
+        if let Some(part) = striped::compute_columns::<i8, LANES8, LOCAL, WATCH>(
             a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
         ) {
             return finish_striped::<LOCAL, WATCH>(
@@ -427,8 +433,8 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
         }
         // i8 window overflow: buses untouched, escalate to the i16 rung.
     }
-    if striped::eligible(a_tile.len(), b_tile.len(), scoring) {
-        match striped::compute_striped_columns::<LOCAL, WATCH>(
+    if first != Rung::Scalar && striped::eligible::<i16, LANES>(height, width, scoring) {
+        match striped::compute_columns::<i16, LANES, LOCAL, WATCH>(
             a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
         ) {
             Some(part) => {
@@ -514,6 +520,46 @@ fn merge_watch(a: Option<(usize, usize)>, b: Option<(usize, usize)>) -> Option<(
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, None) => x,
         (None, y) => y,
+    }
+}
+
+/// Per-symbol substitution score rows, built once per tile and shared by
+/// every row of the tile with the same query symbol: the scalar kernel
+/// replaces its per-cell `scoring.subst(ai, bj)` call with one indexed
+/// load from the profile row. (The striped rungs build the same tables in
+/// striped order per band, in [`ProfileCache`].)
+struct QueryProfile {
+    /// Symbol → row slot; `u16::MAX` marks symbols absent from the tile.
+    slot: [u16; 256],
+    rows: Vec<Score>,
+    width: usize,
+}
+
+impl QueryProfile {
+    /// Precompute one score row per distinct symbol of `a_tile` against
+    /// `b_tile`. Cost `O(distinct * width)`, amortized over the tile's
+    /// rows.
+    fn build(a_tile: &[u8], b_tile: &[u8], scoring: &Scoring) -> Self {
+        let mut slot = [u16::MAX; 256];
+        let mut rows: Vec<Score> = Vec::new();
+        let mut count = 0u16;
+        for &sym in a_tile {
+            if slot[sym as usize] == u16::MAX {
+                slot[sym as usize] = count;
+                count += 1;
+                rows.extend(b_tile.iter().map(|&bj| scoring.subst(sym, bj)));
+            }
+        }
+        QueryProfile { slot, rows, width: b_tile.len() }
+    }
+
+    /// The score row for `sym`: `row(sym)[j] == scoring.subst(sym, b[j])`.
+    ///
+    /// `sym` must occur in the `a_tile` the profile was built from.
+    #[inline(always)]
+    fn row(&self, sym: u8) -> &[Score] {
+        let s = self.slot[sym as usize] as usize;
+        &self.rows[s * self.width..(s + 1) * self.width]
     }
 }
 
@@ -1046,6 +1092,20 @@ mod tests {
         assert_eq!(t0, r0);
         assert_eq!(t1, r1);
         assert_eq!(left2, left_r2);
+    }
+
+    #[test]
+    fn profile_rows_match_subst() {
+        let a = b"ACGTACGTNN";
+        let b = b"TTGACGTAC";
+        let p = QueryProfile::build(a, b, &SC);
+        for &ai in a.iter() {
+            let row = p.row(ai);
+            assert_eq!(row.len(), b.len());
+            for (j, &bj) in b.iter().enumerate() {
+                assert_eq!(row[j], SC.subst(ai, bj));
+            }
+        }
     }
 
     #[test]

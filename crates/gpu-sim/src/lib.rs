@@ -18,12 +18,11 @@
 //! * [`kernel`] — the per-block tile kernel (Gotoh recurrences over a
 //!   `block_height x block_width` tile fed by bus segments), dispatching
 //!   between a scalar `i32` loop and the vector path below,
-//! * [`striped`] — the lane-striped saturating-`i16` kernel (the CPU
-//!   analogue of the paper's internal-diagonal parallelism) with the
-//!   query-profile cache and the overflow/fallback protocol,
-//! * [`striped8`] — the 32-lane saturating-`i8` first rung of the
-//!   per-tile precision ladder (i8 → i16 → scalar `i32`), sharing the
-//!   striped layout and overflow protocol with [`striped`],
+//! * [`striped`] — the lane-striped saturating kernel (the CPU analogue
+//!   of the paper's internal-diagonal parallelism), written once over the
+//!   lane type and run as the `i8 × 32` and `i16 × 16` rungs of the
+//!   per-tile precision ladder (i8 → i16 → scalar `i32`), with the
+//!   query-profile cache and the overflow/escalation protocol,
 //! * [`ctrl`] — run-supervision primitives: the clonable [`CancelToken`]
 //!   (cancel flag + cause) polled cooperatively by every scheduler, with
 //!   the deadline watchdog living in [`exec`],
@@ -57,7 +56,6 @@ pub mod kernel;
 #[cfg(feature = "race-check")]
 pub mod race;
 pub mod striped;
-pub mod striped8;
 pub mod wavefront;
 
 pub use ctrl::{CancelCause, CancelToken, StripDiag};

@@ -162,6 +162,74 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Local tiles whose every border `H` sits far above zero — the tiles
+    /// downstream of a homologous pair's alignment path, which the
+    /// zero-border tests never reach. Two families, at the production
+    /// BAND/JCHUNK: borders above 32,000 (past the i16 window, so zero and
+    /// the borders cannot share one i16 range) and borders just past the
+    /// i8 window (96..=300). Both ladder entry points must equal the
+    /// scalar kernel on buses, corner, best endpoint and watch hit.
+    #[test]
+    fn high_border_local_tiles_match_scalar(
+        a in dna_min(16, 1_100),
+        b in dna_min(16, 300),
+        past_i16 in any::<bool>(),
+        base in 0i32..5_000,
+        seed in any::<u64>(),
+        watch_some in any::<bool>(),
+    ) {
+        use gpu_sim::kernel::{compute_tile, compute_tile_i16, compute_tile_scalar, KernelPath};
+        use gpu_sim::{CellHE, CellHF};
+        use sw_core::scoring::NEG_INF;
+        let sc = Scoring::paper();
+        let (lo, hi) = if past_i16 { (32_001, 40_000 + base) } else { (96, 300) };
+        let start = if past_i16 { 32_001 + base } else { 96 + base % 205 };
+        // A bounded random walk: mostly small drops with occasional
+        // matches, the shape of a DP row next to a high-scoring path. Gap
+        // states are unreachable or a few points below their `H`.
+        let (mut x, mut h) = (seed | 1, start);
+        let mut walk = || {
+            let mut next = |m: u64| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((x >> 33) % m) as i32
+            };
+            h = (h + next(5) - 3).clamp(lo, hi);
+            let gap = if next(3) == 0 { NEG_INF } else { h - sc.gap_first - next(12) };
+            (h, gap)
+        };
+        let corner = walk().0;
+        let top_0: Vec<CellHF> = b.iter().map(|_| walk()).map(|(h, f)| CellHF { h, f }).collect();
+        let left_0: Vec<CellHE> = a.iter().map(|_| walk()).map(|(h, e)| CellHE { h, e }).collect();
+        let watch = if watch_some {
+            let (mut t, mut l) = (top_0.clone(), left_0.clone());
+            let probe = compute_tile_scalar(&a, &b, 1, 1, &sc, true, None, corner, &mut t, &mut l);
+            Some(probe.corner_out)
+        } else {
+            None
+        };
+        let (mut top_s, mut left_s) = (top_0.clone(), left_0.clone());
+        let scal =
+            compute_tile_scalar(&a, &b, 1, 1, &sc, true, watch, corner, &mut top_s, &mut left_s);
+        for i16_only in [false, true] {
+            let (mut top_v, mut left_v) = (top_0.clone(), left_0.clone());
+            let vect = if i16_only {
+                compute_tile_i16(&a, &b, 1, 1, &sc, true, watch, corner, &mut top_v, &mut left_v)
+            } else {
+                compute_tile(&a, &b, 1, 1, &sc, true, watch, corner, &mut top_v, &mut left_v)
+            };
+            prop_assert_ne!(vect.path, KernelPath::Scalar, "eligible tiles try a striped rung");
+            prop_assert_eq!(&top_v, &top_s, "hbus, i16_only={}", i16_only);
+            prop_assert_eq!(&left_v, &left_s, "vbus, i16_only={}", i16_only);
+            prop_assert_eq!(vect.corner_out, scal.corner_out);
+            prop_assert_eq!(vect.best, scal.best);
+            prop_assert_eq!(vect.watch_hit, scal.watch_hit);
+        }
+    }
+}
+
 /// Deterministic regression for the *production* striped-kernel batching
 /// constants (the crate's unit tests shrink JCHUNK/BAND; integration
 /// tests link the real values): a tile wider than one column chunk
